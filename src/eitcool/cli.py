@@ -78,7 +78,7 @@ def _merge(args: argparse.Namespace) -> dict[str, str]:
     return merged
 
 
-def _float(merged: dict[str, str], key: str, default: float) -> float:
+def _float(merged: dict[str, str], key: str, default: float | None) -> float | None:
     if key not in merged:
         return default
     try:
@@ -88,28 +88,25 @@ def _float(merged: dict[str, str], key: str, default: float) -> float:
 
 
 def build_params(merged: dict[str, str]) -> physics.CoolingParams:
+    """Parameters at the override detuning if one is given, else at resonance."""
     kwargs = {key: _float(merged, key, _DEFAULTS[key]) for key in _PARAM_KEYS}
-    delta = _float(merged, "delta_override", float("nan"))
-    if math.isnan(delta):
+    delta = _delta_override(merged)
+    if delta is None:
         delta = physics.eit_resonance_delta(
             kwargs["omega_g"], kwargs["omega_r"], kwargs["nu"]
         )
     return physics.CoolingParams(delta=delta, **kwargs)
 
 
-def _estimators(merged: dict[str, str], default: tuple[str, ...]) -> tuple[str, ...]:
+def _estimators(merged: dict[str, str]) -> tuple[str, ...]:
+    """Requested names; they are checked against the registry before use."""
     if "estimators" not in merged:
-        return default
-    ests = tuple(e.strip() for e in merged["estimators"].split(",") if e.strip())
-    if not ests:
-        raise ConfigurationError("estimator list is empty")
-    return ests
+        return sweep.DEFAULT_ESTIMATORS
+    return tuple(e.strip() for e in merged["estimators"].split(",") if e.strip())
 
 
 def _delta_override(merged: dict[str, str]) -> float | None:
-    if "delta_override" not in merged:
-        return None
-    return _float(merged, "delta_override", 0.0)
+    return _float(merged, "delta_override", None)
 
 
 def _n_max(merged: dict[str, str]) -> int:
@@ -123,13 +120,12 @@ def _n_max(merged: dict[str, str]) -> int:
 def cmd_point(args: argparse.Namespace) -> int:
     merged = _merge(args)
     params = build_params(merged)
-    estimators = _estimators(merged, ("numeric_full", "eq1", "eq15"))
+    estimators = _estimators(merged)
     row = sweep.run_point(
         params,
         estimators,
         n_max=_n_max(merged),
         hamiltonian=merged.get("hamiltonian", "ld"),
-        delta_override=_delta_override(merged),
     )
     out = merged.get("out")
     if out:
@@ -169,7 +165,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         grid=_parse_grid(merged["grid"]),
         lock=merged.get("lock", sweep.LOCK_FOR_AXIS.get(vary, "")),
         base=build_params(merged),
-        estimators=_estimators(merged, ("numeric_full", "eq1", "eq15")),
+        estimators=_estimators(merged),
         n_max=_n_max(merged),
         hamiltonian=merged.get("hamiltonian", "ld"),
         delta_override=_delta_override(merged),
@@ -194,7 +190,7 @@ def cmd_fig3(args: argparse.Namespace) -> int:
     spec = sweep.builtin_figure3(
         args.panel,
         n_max=_n_max(merged),
-        estimators=_estimators(merged, ("numeric_full", "eq1", "eq15")),
+        estimators=_estimators(merged),
         hamiltonian=merged.get("hamiltonian", "ld"),
         output=out,
         fmt=fmt,

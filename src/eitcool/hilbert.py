@@ -63,10 +63,6 @@ def split_index(flat: int) -> tuple[int, int]:
     return flat % N_INTERNAL, flat // N_INTERNAL
 
 
-def state_label(internal: int, phonon: int, basis: str) -> str:
-    return f"|{BASIS_LEVELS[validate_basis(basis)][internal]},{phonon}>"
-
-
 def ketbra(i: int, j: int) -> np.ndarray:
     """Elementary internal operator |i><j| on the three-level space."""
     op = np.zeros((N_INTERNAL, N_INTERNAL), dtype=complex)
@@ -97,23 +93,6 @@ def creation(n_max: int) -> np.ndarray:
 
 def number_operator(n_max: int) -> np.ndarray:
     return np.diag(np.arange(n_max + 1)).astype(complex)
-
-
-def position(n_max: int, mass_freq_scale: float) -> np.ndarray:
-    """Position operator (a + a^dag) / sqrt(2 * mass_freq_scale).
-
-    `mass_freq_scale` is the product of mass and trap frequency in whatever
-    unit system the caller works in; it must be positive.
-    """
-    if mass_freq_scale <= 0:
-        raise ConfigurationError(
-            f"mass-frequency scale must be positive, got {mass_freq_scale}"
-        )
-    x = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    for n in range(1, n_max + 1):
-        x[n - 1, n] = np.sqrt(n)
-        x[n, n - 1] = np.sqrt(n)
-    return x / np.sqrt(2.0 * mass_freq_scale)
 
 
 def embed(internal_op: np.ndarray, phonon_op: np.ndarray) -> np.ndarray:

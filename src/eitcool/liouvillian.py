@@ -33,15 +33,12 @@ def vectorize(rho: np.ndarray) -> np.ndarray:
 
 def devectorize(vec: np.ndarray) -> np.ndarray:
     vec = np.asarray(vec)
-    d = math_isqrt(vec.size)
+    d = int(round(vec.size**0.5))
+    if d * d != vec.size:
+        raise ConfigurationError(
+            f"vector of length {vec.size} is not a vectorized square matrix"
+        )
     return vec.reshape((d, d), order="F")
-
-
-def math_isqrt(n: int) -> int:
-    d = int(round(n**0.5))
-    if d * d != n:
-        raise ConfigurationError(f"vector of length {n} is not a vectorized square matrix")
-    return d
 
 
 @dataclass(frozen=True)
@@ -55,9 +52,6 @@ class Superoperator:
     def dim(self) -> int:
         return self.hilbert_dim**2
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return devectorize(self.matrix @ vectorize(rho))
-
 
 def build_liouvillian(
     hamiltonian: np.ndarray, jumps: list[tuple[float, np.ndarray]]
@@ -66,6 +60,20 @@ def build_liouvillian(
 
     Each (rate, L) entry contributes rate/2 * (2 L . L^dag - {., L^dag L}).
     """
+    return Superoperator(
+        matrix=_generator(hamiltonian, jumps), hilbert_dim=len(hamiltonian)
+    )
+
+
+# The three kernels below are shared with the seven-level model in `subspace`.
+# It calls them directly, not through the public functions, so that per-layer
+# timings of this module cover the dense solver alone.
+
+
+def _generator(
+    hamiltonian: np.ndarray, jumps: list[tuple[float, np.ndarray]]
+) -> np.ndarray:
+    """Column-stacked matrix of the Lindblad generator (see build_liouvillian)."""
     h = np.asarray(hamiltonian, dtype=complex)
     d = h.shape[0]
     if h.shape != (d, d):
@@ -92,7 +100,34 @@ def build_liouvillian(
             - np.kron(opdop.T, eye)
             - np.kron(eye, opdop)
         )
-    return Superoperator(matrix=lmat, hilbert_dim=d)
+    return lmat
+
+
+def _null_count(matrix: np.ndarray, tol: float) -> int:
+    """Number of singular values below tol times the largest one."""
+    try:
+        svals = np.linalg.svd(matrix, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"degeneracy check failed: {exc}") from exc
+    return int(np.count_nonzero(svals < tol * svals[0]))
+
+
+def _trace_row_solve(matrix: np.ndarray, d: int) -> np.ndarray:
+    """Vectorized trace-one solution of matrix @ vec = 0.
+
+    Row 0 is the equation for d/dt rho[0, 0]; the diagonal rows are linearly
+    dependent through trace preservation, so it is safe to overwrite with the
+    trace functional.
+    """
+    mat = matrix.copy()
+    rhs = np.zeros(d * d, dtype=complex)
+    mat[0, :] = 0.0
+    mat[0, (d + 1) * np.arange(d)] = 1.0
+    rhs[0] = 1.0
+    try:
+        return np.linalg.solve(mat, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"steady-state solve failed: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -109,8 +144,7 @@ class SteadyState:
 
 def nullspace_dimension(lv: Superoperator, tol: float = DEGENERACY_TOL) -> int:
     """Number of singular values of the generator below tol * ||L||_2."""
-    svals = np.linalg.svd(lv.matrix, compute_uv=False)
-    return int(np.count_nonzero(svals < tol * svals[0]))
+    return _null_count(lv.matrix, tol)
 
 
 def steady_state(lv: Superoperator, degeneracy_tol: float = DEGENERACY_TOL) -> SteadyState:
@@ -121,23 +155,12 @@ def steady_state(lv: Superoperator, degeneracy_tol: float = DEGENERACY_TOL) -> S
     is separately stationary), and NumericalFailureError when the
     trace-constrained solve is singular.
     """
-    d = lv.hilbert_dim
     ndim = nullspace_dimension(lv, degeneracy_tol)
     if ndim > 1:
         raise DegenerateSteadyStateError(
             f"stationary subspace has dimension {ndim}; no unique steady state"
         )
-    mat = lv.matrix.copy()
-    rhs = np.zeros(d * d, dtype=complex)
-    # Row 0 is the equation for d/dt rho[0, 0]; the diagonal rows are linearly
-    # dependent through trace preservation, so it is safe to overwrite.
-    mat[0, :] = 0.0
-    mat[0, (d + 1) * np.arange(d)] = 1.0
-    rhs[0] = 1.0
-    try:
-        vec = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"steady-state solve failed: {exc}") from exc
+    vec = _trace_row_solve(lv.matrix, lv.hilbert_dim)
     rho = devectorize(vec)
     trace_defect = abs(rho.trace() - 1.0)
     herm_defect = float(np.abs(rho - rho.conj().T).max())

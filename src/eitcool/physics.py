@@ -9,7 +9,7 @@ rotated dark/bright pair plus the shared excited state ("dbe").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -42,6 +42,10 @@ class CoolingParams:
     nu: float = 1.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{f.name} must be finite, got {value}")
         if self.nu <= 0:
             raise ConfigurationError(f"trap frequency must be positive, got {self.nu}")
         if self.omega_g < 0 or self.omega_r < 0:
@@ -56,13 +60,6 @@ class CoolingParams:
     @property
     def gamma_total(self) -> float:
         return self.gamma_g + self.gamma_r
-
-    @classmethod
-    def at_resonance(cls, **kwargs) -> "CoolingParams":
-        """Construct with the detuning fixed by the cooling resonance condition."""
-        nu = kwargs.get("nu", 1.0)
-        delta = eit_resonance_delta(kwargs["omega_g"], kwargs["omega_r"], nu)
-        return cls(delta=delta, **kwargs)
 
     def with_resonant_delta(self) -> "CoolingParams":
         return replace(

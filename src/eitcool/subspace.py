@@ -3,11 +3,9 @@ further approximation.
 
 The model keeps the dark/bright/excited levels with zero or one phonon plus
 the two-phonon dark state, i.e. every state reachable from the cold dark
-state by at most one blue-sideband transition.  Stationarity is imposed by
-requiring tr(O G(rho)) = 0 for all 49 Hermitian observables
-{|j><j|, |j><k| + |k><j|, i|j><k| - i|k><j|} on that subspace, and the
-resulting 49 x 49 real linear system is solved numerically.  This serves as
-an independent oracle for both the closed forms and the full-space solver.
+state by at most one blue-sideband transition.  Its Lindblad generator is
+solved with the same kernels as the dense phonon-ladder model, so the two
+numeric estimators differ only in the model they solve.
 """
 
 from __future__ import annotations
@@ -16,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSteadyStateError, NumericalFailureError
+from . import liouvillian
+from .errors import DegenerateSteadyStateError
 from .physics import DerivedEit
 
 #: Basis order of the projected space: (level, phonon) pairs.
@@ -81,75 +80,23 @@ def build_projected(d: DerivedEit, nu: float, delta: float) -> ProjectedSystem:
     return ProjectedSystem(basis=BASIS_7, hs=hs, jumps=jumps, eta=d.eta)
 
 
-def observables() -> list[np.ndarray]:
-    """The 49 Hermitian observables, projectors first, then the symmetric
-    and antisymmetric pair operators in lexicographic pair order."""
-    obs = [_op(j, j) for j in range(7)]
-    for j in range(7):
-        for k in range(j + 1, 7):
-            obs.append(_op(j, k) + _op(k, j))
-    for j in range(7):
-        for k in range(j + 1, 7):
-            obs.append(1j * _op(j, k) - 1j * _op(k, j))
-    return obs
-
-
-def generator_action(sys: ProjectedSystem, rho: np.ndarray) -> np.ndarray:
-    """Apply -i[H, rho] plus the four decay channels."""
-    out = -1j * (sys.hs @ rho - rho @ sys.hs)
-    for rate, op in sys.jumps:
-        opd = op.conj().T
-        opdop = opd @ op
-        out += 0.5 * rate * (2.0 * op @ rho @ opd - opdop @ rho - rho @ opdop)
-    return out
-
-
-def stationarity_system(sys: ProjectedSystem) -> np.ndarray:
-    """The 49 x 49 real matrix of tr(O_i G(B_m)) over the observable basis.
-
-    The same 49 operators serve as observables and as the expansion basis of
-    the density matrix, so the coefficient vector is real and the matrix has
-    exactly one redundant row (trace preservation) at generic parameters.
-    """
-    basis = observables()
-    mat = np.empty((49, 49), dtype=float)
-    for m, b in enumerate(basis):
-        image = generator_action(sys, b)
-        for i, ob in enumerate(basis):
-            mat[i, m] = np.trace(ob @ image).real
-    return mat
-
-
 def solve_stationarity(
-    sys: ProjectedSystem, degeneracy_tol: float = 1e-10
+    sys: ProjectedSystem, degeneracy_tol: float = liouvillian.DEGENERACY_TOL
 ) -> np.ndarray:
-    """Solve the stationarity equations with unit-trace normalization.
+    """Unique trace-one stationary state of the seven-level model.
 
-    Returns the 7 x 7 Hermitian density matrix.  Raises
-    DegenerateSteadyStateError when more than one stationary state exists
-    (e.g. at zero effective Lamb-Dicke parameter, where the dark ladder
-    decouples).
+    Uses the dense solver's generator, degeneracy count and trace-row solve.
+    Returns the 7 x 7 density matrix.  Raises DegenerateSteadyStateError when
+    more than one stationary state exists (e.g. at zero effective Lamb-Dicke
+    parameter, where the dark ladder decouples).
     """
-    mat = stationarity_system(sys)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    n_null = int(np.count_nonzero(svals < degeneracy_tol * svals[0]))
+    mat = liouvillian._generator(sys.hs, sys.jumps)
+    n_null = liouvillian._null_count(mat, degeneracy_tol)
     if n_null > 1:
         raise DegenerateSteadyStateError(
             f"projected stationary subspace has dimension {n_null}"
         )
-    mod = mat.copy()
-    rhs = np.zeros(49)
-    mod[0, :] = 0.0
-    mod[0, :7] = 1.0  # trace row: the first seven coefficients are populations
-    rhs[0] = 1.0
-    try:
-        coeff = np.linalg.solve(mod, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"projected solve failed: {exc}") from exc
-    rho = np.zeros((7, 7), dtype=complex)
-    for c, b in zip(coeff, observables()):
-        rho += c * b
-    return rho
+    return liouvillian._trace_row_solve(mat, 7).reshape((7, 7), order="F")
 
 
 def nbar_projected(rho7: np.ndarray) -> float:

@@ -10,28 +10,10 @@ from __future__ import annotations
 import math
 
 from .errors import ConfigurationError
-from .sweep import SweepRow
+from .sweep import SweepRow, lookup
 
 WIDTH, HEIGHT = 640, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 160, 30, 50
-
-_COLORS = {
-    "numeric_full": "#1f5fa8",
-    "numeric_projected": "#7a3fa8",
-    "eq1": "#999999",
-    "eq15": "#c2502a",
-    "eq16": "#2a8a4a",
-    "eq17": "#b8860b",
-}
-
-_LABELS = {
-    "numeric_full": "exact steady state",
-    "numeric_projected": "seven-level model",
-    "eq1": "zeroth-order formula",
-    "eq15": "second-order formula",
-    "eq16": "weak-drive formula",
-    "eq17": "equal-drive formula",
-}
 
 
 def _log_ticks(lo: float, hi: float) -> list[float]:
@@ -124,9 +106,9 @@ def write_svg(
     )
 
     legend_y = MARGIN_T + 10
-    for est in estimators:
-        pts = series.get(est, [])
-        color = _COLORS.get(est, "#000000")
+    for est in lookup(estimators):
+        pts = series[est.name]
+        color = est.color
         if pts:
             coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
             out.append(
@@ -144,7 +126,7 @@ def write_svg(
         )
         out.append(
             f'<text x="{lx + 27}" y="{legend_y + 4}" font-family="sans-serif" '
-            f'font-size="11">{_LABELS.get(est, est)}</text>'
+            f'font-size="11">{est.label}</text>'
         )
         legend_y += 18
 

@@ -4,16 +4,20 @@ A sweep varies one of {omega_g, eta_g, gamma_g} over a grid while a lock
 constraint keeps the rest of the configuration consistent (fixed Rabi ratio,
 fixed total linewidth, or equal Lamb-Dicke parameters).  The detuning is
 recomputed from the resonance condition at every grid point unless an
-explicit override is given.  Estimator failures are recorded per row as
-typed flags, never raised past the runner.
+explicit override is given; a single point is evaluated at the detuning its
+parameters carry.  Every estimator, with its CSV column, plot label and
+colour, is one entry of REGISTRY.  Estimator failures are recorded per row
+as typed flags, never raised past the runner.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from . import analytic, liouvillian, physics, subspace
 from .errors import (
@@ -24,33 +28,9 @@ from .errors import (
     NumericalFailureError,
 )
 
-ESTIMATORS = ("numeric_full", "numeric_projected", "eq1", "eq15", "eq16", "eq17")
 VARY_AXES = ("omega_g", "eta_g", "gamma_g")
 LOCKS = ("omega_ratio", "gamma_total", "eta_equal")
 LOCK_FOR_AXIS = {"omega_g": "omega_ratio", "eta_g": "eta_equal", "gamma_g": "gamma_total"}
-
-#: Column order of the emitted CSV.  The optional eq16/eq17 columns are
-#: inserted before `flags` when those estimators are requested.
-CSV_BASE_HEADER = (
-    "vary",
-    "value",
-    "nbar_numeric",
-    "nbar_projected",
-    "nbar_eq1",
-    "nbar_eq15",
-    "eq15_term1",
-    "eq15_term2",
-    "flags",
-)
-
-_CSV_COLUMN = {
-    "numeric_full": "nbar_numeric",
-    "numeric_projected": "nbar_projected",
-    "eq1": "nbar_eq1",
-    "eq15": "nbar_eq15",
-    "eq16": "nbar_eq16",
-    "eq17": "nbar_eq17",
-}
 
 DEFAULT_N_MAX = 12
 
@@ -93,13 +73,11 @@ class SweepSpec:
             )
         if not self.grid:
             raise ConfigurationError("sweep grid must be non-empty")
+        if not all(math.isfinite(v) for v in self.grid):
+            raise ConfigurationError("sweep grid values must be finite")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ConfigurationError("sweep grid must be strictly increasing")
-        if not self.estimators:
-            raise ConfigurationError("at least one estimator must be requested")
-        for est in self.estimators:
-            if est not in ESTIMATORS:
-                raise ConfigurationError(f"unknown estimator {est!r}")
+        lookup(self.estimators)
         if self.hamiltonian not in ("ld", "full"):
             raise ConfigurationError(
                 f"hamiltonian must be 'ld' or 'full', got {self.hamiltonian!r}"
@@ -143,12 +121,110 @@ def params_at(spec: SweepSpec, value: float) -> physics.CoolingParams:
     else:
         total = base.gamma_g + base.gamma_r
         params = replace(base, gamma_g=value, gamma_r=total - value)
-    delta = (
-        spec.delta_override
-        if spec.delta_override is not None
-        else physics.eit_resonance_delta(params.omega_g, params.omega_r, params.nu)
+    if spec.delta_override is None:
+        return params.with_resonant_delta()
+    return replace(params, delta=spec.delta_override)
+
+
+@dataclass
+class Point:
+    """What an estimator sees of one parameter point."""
+
+    params: physics.CoolingParams
+    n_max: int
+    hamiltonian: str
+
+    @functools.cached_property
+    def derived(self) -> physics.DerivedEit:
+        return physics.derive_eit(self.params)
+
+
+def _numeric_full(pt: Point) -> tuple[float, dict]:
+    if pt.hamiltonian == "full":
+        h = physics.hamiltonian_full(pt.params, pt.n_max)
+    else:
+        h = physics.hamiltonian_ld(pt.params, pt.n_max, basis="gre")
+    lv = liouvillian.build_liouvillian(
+        h, physics.jump_operators(pt.params, pt.n_max, basis="gre")
     )
-    return replace(params, delta=delta)
+    ss = liouvillian.steady_state(lv)
+    nbar = liouvillian.phonon_occupation(ss)
+    return nbar, {"residual": ss.residual, "nullspace_dim": ss.nullspace_dim}
+
+
+def _numeric_projected(pt: Point) -> tuple[float, dict]:
+    sys7 = subspace.build_projected(pt.derived, pt.params.nu, pt.params.delta)
+    return subspace.nbar_projected(subspace.solve_stationarity(sys7)), {}
+
+
+def _eq1(pt: Point) -> tuple[float, dict]:
+    return analytic.nbar_zeroth(pt.params.gamma_total, pt.params.delta), {}
+
+
+def _eq15(pt: Point) -> tuple[float, dict]:
+    term1, term2 = analytic.nbar_second_terms(
+        pt.derived, pt.params.gamma_total, pt.params.delta
+    )
+    return term1 + term2, {"eq15_term1": term1, "eq15_term2": term2}
+
+
+def _eq16(pt: Point) -> tuple[float, dict]:
+    return analytic.nbar_weak_g(pt.params, pt.derived), {}
+
+
+def _eq17(pt: Point) -> tuple[float, dict]:
+    return analytic.nbar_equal(pt.params.gamma_total, pt.params.delta, pt.derived.eta), {}
+
+
+@dataclass(frozen=True)
+class Estimator:
+    """One occupation estimator and the names it appears under in output.
+
+    `evaluate` returns the occupation together with any further SweepRow
+    fields it fills.  `terms` are SweepRow fields written as CSV columns right
+    after `column`; an `optional` column is written only when requested.
+    """
+
+    name: str
+    evaluate: Callable[[Point], tuple[float, dict]]
+    column: str
+    label: str
+    color: str
+    terms: tuple[str, ...] = ()
+    optional: bool = False
+
+
+#: Every estimator, in CSV column order.
+REGISTRY = {
+    e.name: e
+    for e in (
+        Estimator("numeric_full", _numeric_full, "nbar_numeric",
+                  "exact steady state", "#1f5fa8"),
+        Estimator("numeric_projected", _numeric_projected, "nbar_projected",
+                  "seven-level model", "#7a3fa8"),
+        Estimator("eq1", _eq1, "nbar_eq1", "zeroth-order formula", "#999999"),
+        Estimator("eq15", _eq15, "nbar_eq15", "second-order formula", "#c2502a",
+                  terms=("eq15_term1", "eq15_term2")),
+        Estimator("eq16", _eq16, "nbar_eq16", "weak-drive formula", "#2a8a4a",
+                  optional=True),
+        Estimator("eq17", _eq17, "nbar_eq17", "equal-drive formula", "#b8860b",
+                  optional=True),
+    )
+}
+ESTIMATORS = tuple(REGISTRY)
+DEFAULT_ESTIMATORS = ("numeric_full", "eq1", "eq15")
+
+
+def lookup(names: tuple[str, ...]) -> list[Estimator]:
+    """Registry entries for the requested estimator names, in request order."""
+    if not names:
+        raise ConfigurationError("at least one estimator must be requested")
+    for name in names:
+        if name not in REGISTRY:
+            raise ConfigurationError(
+                f"unknown estimator {name!r}; expected some of {', '.join(ESTIMATORS)}"
+            )
+    return [REGISTRY[name] for name in names]
 
 
 def _flag(est: str, exc: EitCoolError) -> str:
@@ -166,84 +242,26 @@ def run_point(
     estimators: tuple[str, ...],
     n_max: int = DEFAULT_N_MAX,
     hamiltonian: str = "ld",
-    delta_override: float | None = None,
     vary: str = "point",
     value: float = 0.0,
 ) -> SweepRow:
     """Evaluate the requested estimators at a single parameter point.
 
-    The detuning is recomputed from the resonance condition unless an
-    explicit override is supplied; per-estimator failures become row flags.
+    The detuning is params.delta as given; per-estimator failures become row
+    flags.
     """
-    if not estimators:
-        raise ConfigurationError("at least one estimator must be requested")
-    delta = (
-        delta_override
-        if delta_override is not None
-        else physics.eit_resonance_delta(params.omega_g, params.omega_r, params.nu)
-    )
-    params = replace(params, delta=delta)
-    gamma = params.gamma_total
+    point = Point(params, n_max, hamiltonian)
     nbar: dict[str, float] = {}
+    extra: dict = {}
     flags: list[str] = []
-    term1 = term2 = None
-    residual = None
-    nullspace_dim = None
-
-    try:
-        derived = physics.derive_eit(params)
-        derive_failure: EitCoolError | None = None
-    except EitCoolError as exc:
-        derived = None
-        derive_failure = exc
-    for est in estimators:
+    for est in lookup(estimators):
         try:
-            if est == "numeric_full":
-                if hamiltonian == "full":
-                    h = physics.hamiltonian_full(params, n_max)
-                else:
-                    h = physics.hamiltonian_ld(params, n_max, basis="gre")
-                lv = liouvillian.build_liouvillian(
-                    h, physics.jump_operators(params, n_max, basis="gre")
-                )
-                ss = liouvillian.steady_state(lv)
-                nbar[est] = liouvillian.phonon_occupation(ss)
-                residual = ss.residual
-                nullspace_dim = ss.nullspace_dim
-            elif est == "numeric_projected":
-                if derived is None:
-                    raise derive_failure
-                sys7 = subspace.build_projected(derived, params.nu, params.delta)
-                nbar[est] = subspace.nbar_projected(subspace.solve_stationarity(sys7))
-            elif est == "eq1":
-                nbar[est] = analytic.nbar_zeroth(gamma, params.delta)
-            elif est == "eq15":
-                if derived is None:
-                    raise derive_failure
-                term1, term2 = analytic.nbar_second_terms(derived, gamma, params.delta)
-                nbar[est] = term1 + term2
-            elif est == "eq16":
-                if derived is None:
-                    raise derive_failure
-                nbar[est] = analytic.nbar_weak_g(params, derived)
-            elif est == "eq17":
-                if derived is None:
-                    raise derive_failure
-                nbar[est] = analytic.nbar_equal(gamma, params.delta, derived.eta)
-            else:
-                raise ConfigurationError(f"unknown estimator {est!r}")
+            nbar[est.name], more = est.evaluate(point)
         except EitCoolError as exc:
-            flags.append(_flag(est, exc))
-    return SweepRow(
-        vary=vary,
-        value=value,
-        nbar=nbar,
-        eq15_term1=term1,
-        eq15_term2=term2,
-        flags=tuple(flags),
-        residual=residual,
-        nullspace_dim=nullspace_dim,
-    )
+            flags.append(_flag(est.name, exc))
+        else:
+            extra.update(more)
+    return SweepRow(vary=vary, value=value, nbar=nbar, flags=tuple(flags), **extra)
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -254,7 +272,6 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             spec.estimators,
             n_max=spec.n_max,
             hamiltonian=spec.hamiltonian,
-            delta_override=spec.delta_override,
             vary=spec.vary,
             value=value,
         )
@@ -287,7 +304,7 @@ PANELS = {
 def builtin_figure3(
     panel: str,
     n_max: int = DEFAULT_N_MAX,
-    estimators: tuple[str, ...] = ("numeric_full", "eq1", "eq15"),
+    estimators: tuple[str, ...] = DEFAULT_ESTIMATORS,
     hamiltonian: str = "ld",
     output: str | None = None,
     fmt: str = "csv",
@@ -328,27 +345,24 @@ def _fmt(x: float | None) -> str:
     return "" if x is None else format(x, ".17g")
 
 
+def _csv_estimators(estimators: tuple[str, ...]) -> list[Estimator]:
+    """Estimators that get CSV columns for this request, in column order."""
+    return [e for e in REGISTRY.values() if not e.optional or e.name in estimators]
+
+
 def csv_header(estimators: tuple[str, ...]) -> list[str]:
-    header = list(CSV_BASE_HEADER)
-    extra = [_CSV_COLUMN[e] for e in ("eq16", "eq17") if e in estimators]
-    return header[:-1] + extra + [header[-1]]
+    columns = [c for e in _csv_estimators(estimators) for c in (e.column, *e.terms)]
+    return ["vary", "value", *columns, "flags"]
 
 
 def rows_to_csv(rows: list[SweepRow], estimators: tuple[str, ...]) -> list[list[str]]:
+    shown = _csv_estimators(estimators)
     out = [csv_header(estimators)]
-    extra = [e for e in ("eq16", "eq17") if e in estimators]
     for row in rows:
-        cells = [
-            row.vary,
-            _fmt(row.value),
-            _fmt(row.nbar.get("numeric_full")),
-            _fmt(row.nbar.get("numeric_projected")),
-            _fmt(row.nbar.get("eq1")),
-            _fmt(row.nbar.get("eq15")),
-            _fmt(row.eq15_term1),
-            _fmt(row.eq15_term2),
-        ]
-        cells += [_fmt(row.nbar.get(e)) for e in extra]
+        cells = [row.vary, _fmt(row.value)]
+        for est in shown:
+            cells.append(_fmt(row.nbar.get(est.name)))
+            cells += [_fmt(getattr(row, term)) for term in est.terms]
         cells.append(";".join(row.flags))
         out.append(cells)
     return out
@@ -362,31 +376,26 @@ def write_csv(rows: list[SweepRow], estimators: tuple[str, ...], path: str) -> N
 def read_csv(path: str) -> list[SweepRow]:
     """Parse a sweep CSV back into rows (numeric columns only)."""
     with open(path, newline="") as fh:
-        table = list(csv.reader(fh))
-    header, body = table[0], table[1:]
-    col = {name: i for i, name in enumerate(header)}
-    inverse = {v: k for k, v in _CSV_COLUMN.items()}
+        header, *body = csv.reader(fh)
     rows = []
     for cells in body:
-        nbar = {
-            inverse[name]: float(cells[i])
-            for name, i in col.items()
-            if name in inverse and cells[i] != ""
+        cell = dict(zip(header, cells))
+        terms = {
+            term: float(cell[term]) if cell[term] else None
+            for est in REGISTRY.values()
+            for term in est.terms
         }
         rows.append(
             SweepRow(
-                vary=cells[col["vary"]],
-                value=float(cells[col["value"]]),
-                nbar=nbar,
-                eq15_term1=float(cells[col["eq15_term1"]])
-                if cells[col["eq15_term1"]]
-                else None,
-                eq15_term2=float(cells[col["eq15_term2"]])
-                if cells[col["eq15_term2"]]
-                else None,
-                flags=tuple(
-                    f for f in cells[col["flags"]].split(";") if f
-                ),
+                vary=cell["vary"],
+                value=float(cell["value"]),
+                nbar={
+                    est.name: float(cell[est.column])
+                    for est in REGISTRY.values()
+                    if cell.get(est.column)
+                },
+                flags=tuple(f for f in cell["flags"].split(";") if f),
+                **terms,
             )
         )
     return rows

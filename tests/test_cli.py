@@ -42,6 +42,25 @@ class TestPoint:
         assert code == 1
         assert "configuration error" in err
 
+    @pytest.mark.parametrize("names", ["eq99", "eq1,eq99"])
+    def test_unknown_estimator_gives_exit_1(self, capsys, names):
+        code, out, err = run_cli(capsys, "point", "--estimators", names)
+        assert code == 1
+        assert "unknown estimator 'eq99'" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("--omega-g", "nan"),
+        ("--omega-g", "nan", "--estimators", "eq1"),
+        ("--omega-r", "inf", "--estimators", "eq1"),
+        ("--delta-override", "nan", "--estimators", "eq1"),
+    ])
+    def test_non_finite_input_gives_exit_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, "point", *argv)
+        assert code == 1
+        assert "must be finite" in err
+        assert out == ""
+
     def test_unknown_flag_gives_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "point", "--frobnicate", "1")
         assert code == 1

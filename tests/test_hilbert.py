@@ -41,38 +41,6 @@ def test_cutoff_validation():
         hilbert.validate_cutoff(2.5)
 
 
-def test_position_two_level():
-    x = hilbert.position(1, 1.0)
-    np.testing.assert_allclose(x, [[0, 1 / np.sqrt(2)], [1 / np.sqrt(2), 0]], atol=1e-15)
-
-
-def test_position_is_hermitian():
-    for n_max in (1, 4, 9):
-        x = hilbert.position(n_max, 2.7)
-        assert np.abs(x - x.conj().T).max() == 0.0
-
-
-def test_position_matches_matrix_element_formula():
-    # oracle: <m|(a + a^dag)|n> = sqrt(n) d_{m,n-1} + sqrt(n+1) d_{m,n+1}
-    n_max, scale = 3, 1.0
-    x = hilbert.position(n_max, scale)
-    for m in range(n_max + 1):
-        for n in range(n_max + 1):
-            element = 0.0
-            if m == n - 1:
-                element += np.sqrt(n)
-            if m == n + 1:
-                element += np.sqrt(n + 1)
-            assert x[m, n] == pytest.approx(element / np.sqrt(2 * scale), abs=1e-15)
-
-
-def test_position_rejects_bad_scale():
-    with pytest.raises(ConfigurationError):
-        hilbert.position(3, 0.0)
-    with pytest.raises(ConfigurationError):
-        hilbert.position(3, -1.0)
-
-
 def test_embed_identity():
     out = hilbert.embed(hilbert.identity_internal(), hilbert.identity_phonon(3))
     np.testing.assert_allclose(out, np.eye(12), atol=0)

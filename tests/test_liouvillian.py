@@ -6,6 +6,7 @@ import pytest
 from eitcool import (
     ConfigurationError,
     DegenerateSteadyStateError,
+    NumericalFailureError,
     build_liouvillian,
     derive_eit,
     devectorize,
@@ -63,7 +64,7 @@ class TestBuildLiouvillian:
         gamma = 0.7
         lv = two_level_decay(gamma)
         rho = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-        drho = lv.apply(rho)
+        drho = devectorize(lv.matrix @ vectorize(rho))
         assert drho[1, 1].real == pytest.approx(-gamma, rel=1e-14)
         assert drho[0, 0].real == pytest.approx(gamma, rel=1e-14)
 
@@ -83,7 +84,7 @@ class TestBuildLiouvillian:
         for _ in range(5):
             m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             herm = m + m.conj().T
-            image = lv.apply(herm)
+            image = devectorize(lv.matrix @ vectorize(herm))
             assert np.abs(image - image.conj().T).max() < 1e-10
             assert abs(image.trace()) < 1e-10
 
@@ -116,6 +117,11 @@ class TestSteadyState:
         lv = build_liouvillian(hamiltonian_ld(p, 4), jump_operators(p, 4))
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(lv)
+
+    def test_non_finite_generator_is_a_numerical_failure(self):
+        lv = liouvillian.Superoperator(np.full((4, 4), np.nan, dtype=complex), 2)
+        with pytest.raises(NumericalFailureError):
+            liouvillian.nullspace_dimension(lv)
 
     def test_parallel_laser_geometry_is_degenerate(self):
         # equal angles cancel the effective recoil even with eta_g = eta_r != 0

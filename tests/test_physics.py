@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,6 +95,12 @@ class TestParamValidation:
     def test_negative_eta(self):
         with pytest.raises(ConfigurationError):
             bench_params(5.0, 5.0, eta_g=-0.1)
+
+    @pytest.mark.parametrize("field", ["omega_g", "gamma_r", "eta_g", "phi_r", "delta", "nu"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input(self, field, bad):
+        with pytest.raises(ConfigurationError):
+            replace(bench_params(5.0, 5.0), **{field: bad})
 
     def test_resonance_constructor(self):
         p = bench_params(4.0, 20.0)

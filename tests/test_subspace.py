@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from eitcool import (
     subspace_diagonals,
 )
 from eitcool import subspace as sub
+from eitcool import sweep
 
 from conftest import bench_params, solve_full
 
@@ -18,6 +21,67 @@ def projected_at(omega_g, omega_r, **overrides):
     p = bench_params(omega_g, omega_r, **overrides)
     d = derive_eit(p)
     return p, d, build_projected(d, p.nu, p.delta)
+
+
+# Reference formulation of the projected model, independent of the package's
+# solver: stationarity is imposed as tr(O G(rho)) = 0 for all 49 Hermitian
+# observables {|j><j|, |j><k| + |k><j|, i|j><k| - i|k><j|} of the seven
+# levels, and rho is expanded in the same 49 operators, so the unknowns are
+# real and the system has exactly one redundant row at generic parameters.
+
+def _op(i, j):
+    out = np.zeros((7, 7), dtype=complex)
+    out[i, j] = 1.0
+    return out
+
+
+def observables():
+    """Projectors first, then the symmetric and antisymmetric pair
+    operators in lexicographic pair order."""
+    obs = [_op(j, j) for j in range(7)]
+    for j in range(7):
+        for k in range(j + 1, 7):
+            obs.append(_op(j, k) + _op(k, j))
+    for j in range(7):
+        for k in range(j + 1, 7):
+            obs.append(1j * _op(j, k) - 1j * _op(k, j))
+    return obs
+
+
+def generator_action(sys7, rho):
+    """-i[H, rho] plus the four decay channels."""
+    out = -1j * (sys7.hs @ rho - rho @ sys7.hs)
+    for rate, op in sys7.jumps:
+        opd = op.conj().T
+        opdop = opd @ op
+        out += 0.5 * rate * (2.0 * op @ rho @ opd - opdop @ rho - rho @ opdop)
+    return out
+
+
+def stationarity_system(sys7):
+    """The 49 x 49 real matrix of tr(O_i G(B_m)) over the observable basis."""
+    basis = observables()
+    mat = np.empty((49, 49), dtype=float)
+    for m, b in enumerate(basis):
+        image = generator_action(sys7, b)
+        for i, ob in enumerate(basis):
+            mat[i, m] = np.trace(ob @ image).real
+    return mat
+
+
+def oracle_solve(sys7, degeneracy_tol=1e-10):
+    """Trace-one solution of the 49 real equations; the first seven
+    coefficients are the populations."""
+    mat = stationarity_system(sys7)
+    svals = np.linalg.svd(mat, compute_uv=False)
+    if np.count_nonzero(svals < degeneracy_tol * svals[0]) > 1:
+        raise DegenerateSteadyStateError("oracle stationary subspace is degenerate")
+    mat[0, :] = 0.0
+    mat[0, :7] = 1.0
+    rhs = np.zeros(49)
+    rhs[0] = 1.0
+    coeff = np.linalg.solve(mat, rhs)
+    return sum(c * b for c, b in zip(coeff, observables()))
 
 
 # observable/basis column layout used by the stationarity system
@@ -131,7 +195,7 @@ class TestStationaritySystemFixture:
 
     def test_machine_rows_match_hand_equations(self):
         p, d, sys7 = projected_at(4.0, 20.0)
-        mat = sub.stationarity_system(sys7)
+        mat = stationarity_system(sys7)
         for key, expected in self.expected_rows(d, p.delta, p.nu).items():
             np.testing.assert_allclose(
                 mat[self._row_index(key)], expected, atol=1e-12,
@@ -163,8 +227,35 @@ class TestSolveStationarity:
 
     def test_rank_is_48_at_generic_parameters(self):
         _, _, sys7 = projected_at(4.0, 20.0)
-        svals = np.linalg.svd(sub.stationarity_system(sys7), compute_uv=False)
+        svals = np.linalg.svd(stationarity_system(sys7), compute_uv=False)
         assert np.count_nonzero(svals < 1e-10 * svals[0]) == 1
+
+    def test_matches_observable_oracle_over_panels(self):
+        # per panel: the smallest recoil, one zero-recoil geometry, and
+        # log-uniform recoils up to 0.6 at random points of the panel's range
+        rng = np.random.default_rng(20240817)
+        solved = degenerate = 0
+        for panel in "abcdef":
+            spec = sweep.builtin_figure3(panel)
+            etas = [5e-4, 0.15, *10.0 ** rng.uniform(np.log10(5e-4), np.log10(0.6), 6)]
+            for k, eta in enumerate(etas):
+                p = sweep.params_at(spec, rng.uniform(spec.grid[0], spec.grid[-1]))
+                p = replace(p, eta_g=eta, eta_r=eta)
+                if k == 1:
+                    p = replace(p, phi_r=p.phi_g)
+                sys7 = build_projected(derive_eit(p), p.nu, p.delta)
+                try:
+                    want = oracle_solve(sys7)
+                except DegenerateSteadyStateError:
+                    with pytest.raises(DegenerateSteadyStateError):
+                        solve_stationarity(sys7)
+                    degenerate += 1
+                    continue
+                got = solve_stationarity(sys7)
+                assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+                assert nbar_projected(got) == pytest.approx(nbar_projected(want), rel=1e-10)
+                solved += 1
+        assert degenerate == 6 and solved == 42
 
     def test_degenerate_at_zero_recoil(self):
         _, _, sys7 = projected_at(15.0, 15.0, eta_g=0.0, eta_r=0.0)

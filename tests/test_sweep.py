@@ -44,6 +44,11 @@ class TestSweepSpecValidation:
             sweep.SweepSpec(vary="omega_g", grid=(2.0, 3.0), lock="omega_ratio",
                             base=self.base(), estimators=("eq99",))
 
+    def test_non_finite_grid(self):
+        with pytest.raises(ConfigurationError):
+            sweep.SweepSpec(vary="omega_g", grid=(2.0, float("nan")), lock="omega_ratio",
+                            base=self.base(), estimators=("eq1",))
+
     def test_gamma_grid_exceeding_total(self):
         with pytest.raises(ConfigurationError):
             sweep.SweepSpec(vary="gamma_g", grid=(5.0, 25.0), lock="gamma_total",
@@ -95,17 +100,18 @@ class TestRunPoint:
         gap = abs(row.nbar["numeric_full"] - row.nbar["eq15"])
         assert gap < 0.30 * row.nbar["eq15"]
 
-    def test_resonance_delta_recomputed(self):
-        # the stored delta is ignored unless an override is supplied
+    def test_point_uses_the_given_delta(self):
         p = bench_params(15.0, 15.0, delta=1.0)
         row = sweep.run_point(p, ("eq1",), **FAST)
-        assert row.nbar["eq1"] == pytest.approx(1.9753086419753087e-3, rel=1e-12)
-        row2 = sweep.run_point(p, ("eq1",), delta_override=1.0, **FAST)
-        assert row2.nbar["eq1"] == pytest.approx(400.0 / 16.0, rel=1e-12)
+        assert row.nbar["eq1"] == pytest.approx(400.0 / 16.0, rel=1e-12)
 
     def test_empty_estimators_rejected(self):
         with pytest.raises(ConfigurationError):
             sweep.run_point(bench_params(15.0, 15.0), (), **FAST)
+
+    def test_unknown_estimator_rejected_before_evaluation(self):
+        with pytest.raises(ConfigurationError):
+            sweep.run_point(bench_params(15.0, 15.0), ("eq1", "eq99"), **FAST)
 
 
 class TestBuiltinPanels:
