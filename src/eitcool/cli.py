@@ -1,13 +1,19 @@
 """Command-line interface: single points, sweeps, benchmark panels, selftest.
 
-Configuration comes from an optional key=value text file plus flags, with
-flags winning.  Exit codes: 0 success, 1 configuration error, 2 numerical
-failure.
+Every run option is one argparse argument, which declares its type, default
+and allowed values.  A `--config FILE` of `key = value` lines is read through
+the same parser: each key names one of the subcommand's long flags
+(`n_max` or `n-max` for `--n-max`), so a key the subcommand has no flag for
+is rejected, and flags on the command line win over the file.  The library
+checks the estimator names, the cutoff and the Hamiltonian before
+evaluating anything.  Exit codes: 0 success, 1 configuration error, 2
+numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -21,16 +27,8 @@ from .errors import (
     NumericalFailureError,
 )
 
-_PARAM_KEYS = (
-    "omega_g",
-    "omega_r",
-    "gamma_g",
-    "gamma_r",
-    "eta_g",
-    "eta_r",
-    "phi_g",
-    "phi_r",
-    "nu",
+_PARAM_KEYS = tuple(
+    f.name for f in dataclasses.fields(physics.CoolingParams) if f.name != "delta"
 )
 
 _DEFAULTS = dict(
@@ -46,9 +44,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def read_config(path: str) -> dict[str, str]:
-    """Parse a `key = value` text file; '#' starts a comment."""
-    values: dict[str, str] = {}
+def read_config(path: str) -> list[str]:
+    """Flag tokens `--key=value` for the `key = value` lines of a text file.
+
+    '#' starts a comment.  The `=` form keeps a value such as `-5` from being
+    read as a flag.
+    """
+    tokens: list[str] = []
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -60,37 +62,34 @@ def read_config(path: str) -> dict[str, str]:
                         f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}"
                     )
                 key, value = (part.strip() for part in line.split("=", 1))
-                values[key] = value
+                if key == "config":
+                    raise ConfigurationError(
+                        f"{path}:{lineno}: a config file cannot name another one"
+                    )
+                tokens.append(f"--{key.replace('_', '-')}={value}")
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path!r}: {exc}") from exc
-    return values
+    return tokens
 
 
-def _merge(args: argparse.Namespace) -> dict[str, str]:
-    merged: dict[str, str] = {}
-    if args.config:
-        merged.update(read_config(args.config))
-    for key in (*_PARAM_KEYS, "delta_override", "n_max", "estimators", "hamiltonian",
-                "vary", "grid", "lock", "out", "format"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = str(flag)
-    return merged
+def _comma_list(item: type):
+    """argparse type for a comma-separated list of `item` values."""
+
+    def parse(raw: str) -> tuple:
+        try:
+            return tuple(item(v.strip()) for v in raw.split(",") if v.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {item.__name__} values, got {raw!r}"
+            ) from None
+
+    return parse
 
 
-def _float(merged: dict[str, str], key: str, default: float | None) -> float | None:
-    if key not in merged:
-        return default
-    try:
-        return float(merged[key])
-    except ValueError:
-        raise ConfigurationError(f"{key} must be a number, got {merged[key]!r}") from None
-
-
-def build_params(merged: dict[str, str]) -> physics.CoolingParams:
+def build_params(args: argparse.Namespace) -> physics.CoolingParams:
     """Parameters at the override detuning if one is given, else at resonance."""
-    kwargs = {key: _float(merged, key, _DEFAULTS[key]) for key in _PARAM_KEYS}
-    delta = _delta_override(merged)
+    kwargs = {key: getattr(args, key) for key in _PARAM_KEYS}
+    delta = args.delta_override
     if delta is None:
         delta = physics.eit_resonance_delta(
             kwargs["omega_g"], kwargs["omega_r"], kwargs["nu"]
@@ -98,43 +97,18 @@ def build_params(merged: dict[str, str]) -> physics.CoolingParams:
     return physics.CoolingParams(delta=delta, **kwargs)
 
 
-def _estimators(merged: dict[str, str]) -> tuple[str, ...]:
-    """Requested names; they are checked against the registry before use."""
-    if "estimators" not in merged:
-        return sweep.DEFAULT_ESTIMATORS
-    return tuple(e.strip() for e in merged["estimators"].split(",") if e.strip())
-
-
-def _delta_override(merged: dict[str, str]) -> float | None:
-    return _float(merged, "delta_override", None)
-
-
-def _n_max(merged: dict[str, str]) -> int:
-    raw = merged.get("n_max", str(sweep.DEFAULT_N_MAX))
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigurationError(f"n_max must be an integer, got {raw!r}") from None
-
-
 def cmd_point(args: argparse.Namespace) -> int:
-    merged = _merge(args)
-    params = build_params(merged)
-    estimators = _estimators(merged)
+    params = build_params(args)
     row = sweep.run_point(
-        params,
-        estimators,
-        n_max=_n_max(merged),
-        hamiltonian=merged.get("hamiltonian", "ld"),
+        params, args.estimators, n_max=args.n_max, hamiltonian=args.hamiltonian
     )
-    out = merged.get("out")
-    if out:
-        sweep.write_output([row], estimators, out, merged.get("format", "csv"))
-        print(f"wrote {out}")
+    if args.out:
+        sweep.write_output([row], args.estimators, args.out, args.format)
+        print(f"wrote {args.out}")
     else:
         print(f"delta = {params.delta:.6g} (resonance condition"
-              f"{' overridden' if _delta_override(merged) is not None else ''})")
-        for est in estimators:
+              f"{' overridden' if args.delta_override is not None else ''})")
+        for est in args.estimators:
             if est in row.nbar:
                 print(f"{est:18s} {row.nbar[est]:.10e}")
         if row.eq15_term2 is not None:
@@ -147,30 +121,17 @@ def cmd_point(args: argparse.Namespace) -> int:
     raise NumericalFailureError("every requested estimator failed: " + ";".join(row.flags))
 
 
-def _parse_grid(raw: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in raw.split(",") if v.strip())
-    except ValueError:
-        raise ConfigurationError(f"grid must be comma-separated numbers, got {raw!r}") from None
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    merged = _merge(args)
-    for key in ("vary", "grid"):
-        if key not in merged:
-            raise ConfigurationError(f"sweep requires --{key}")
-    vary = merged["vary"]
     spec = sweep.SweepSpec(
-        vary=vary,
-        grid=_parse_grid(merged["grid"]),
-        lock=merged.get("lock", sweep.LOCK_FOR_AXIS.get(vary, "")),
-        base=build_params(merged),
-        estimators=_estimators(merged),
-        n_max=_n_max(merged),
-        hamiltonian=merged.get("hamiltonian", "ld"),
-        delta_override=_delta_override(merged),
-        output=merged.get("out"),
-        fmt=merged.get("format", "csv"),
+        vary=args.vary,
+        grid=args.grid,
+        base=build_params(args),
+        estimators=args.estimators,
+        n_max=args.n_max,
+        hamiltonian=args.hamiltonian,
+        delta_override=args.delta_override,
+        output=args.out,
+        fmt=args.format,
     )
     rows = sweep.run_sweep(spec)
     if spec.output is None:
@@ -184,16 +145,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_fig3(args: argparse.Namespace) -> int:
-    merged = _merge(args)
-    fmt = merged.get("format", "csv")
-    out = merged.get("out") or f"fig3_{args.panel}.{fmt}"
+    out = args.out or f"fig3_{args.panel}.{args.format}"
     spec = sweep.builtin_figure3(
         args.panel,
-        n_max=_n_max(merged),
-        estimators=_estimators(merged),
-        hamiltonian=merged.get("hamiltonian", "ld"),
+        n_max=args.n_max,
+        estimators=args.estimators,
+        hamiltonian=args.hamiltonian,
         output=out,
-        fmt=fmt,
+        fmt=args.format,
     )
     sweep.run_sweep(spec)
     print(f"wrote {out}")
@@ -272,35 +231,37 @@ def make_parser() -> _Parser:
     parser = _Parser(prog="eitcool", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shared(p: _Parser) -> None:
+    def add_run_parser(name: str, summary: str) -> _Parser:
+        # Flags are matched by full name only, so a config key such as
+        # `delta` cannot pass as an abbreviation of `--delta-override`.
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--config", help="key=value config file; flags override it")
         for key in _PARAM_KEYS:
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float)
-        p.add_argument("--delta-override", dest="delta_override", type=float,
+            p.add_argument(f"--{key.replace('_', '-')}", type=float,
+                           default=_DEFAULTS[key])
+        p.add_argument("--delta-override", type=float,
                        help="fix the detuning instead of the resonance condition")
-        p.add_argument("--n-max", dest="n_max", type=int,
+        p.add_argument("--n-max", type=int, default=sweep.DEFAULT_N_MAX,
                        help="phonon cutoff for the dense solver")
-        p.add_argument("--estimators", dest="estimators",
+        p.add_argument("--estimators", type=_comma_list(str),
+                       default=sweep.DEFAULT_ESTIMATORS,
                        help="comma-separated subset of " + ",".join(sweep.ESTIMATORS))
-        p.add_argument("--hamiltonian", dest="hamiltonian", choices=("ld", "full"),
+        p.add_argument("--hamiltonian", choices=sweep.HAMILTONIANS, default="ld",
                        help="first-order Lamb-Dicke (default) or exponential-kick")
-        p.add_argument("--out", dest="out", help="output file path")
-        p.add_argument("--format", dest="format", choices=("csv", "json", "svg"))
+        p.add_argument("--out", help="output file path")
+        p.add_argument("--format", choices=sweep.FORMATS, default="csv")
+        return p
 
-    p_point = sub.add_parser("point", help="evaluate the estimators at one parameter point")
-    add_shared(p_point)
+    p_point = add_run_parser("point", "evaluate the estimators at one parameter point")
     p_point.set_defaults(func=cmd_point)
 
-    p_sweep = sub.add_parser("sweep", help="run a parameter sweep")
-    add_shared(p_sweep)
-    p_sweep.add_argument("--vary", dest="vary", choices=sweep.VARY_AXES)
-    p_sweep.add_argument("--grid", dest="grid",
+    p_sweep = add_run_parser("sweep", "run a parameter sweep")
+    p_sweep.add_argument("--vary", required=True, choices=sweep.VARY_AXES)
+    p_sweep.add_argument("--grid", required=True, type=_comma_list(float),
                          help="comma-separated, strictly increasing values")
-    p_sweep.add_argument("--lock", dest="lock", choices=sweep.LOCKS)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_fig3 = sub.add_parser("fig3", help="run one of the six benchmark panels")
-    add_shared(p_fig3)
+    p_fig3 = add_run_parser("fig3", "run one of the six benchmark panels")
     p_fig3.add_argument("--panel", required=True, choices=sorted(sweep.PANELS))
     p_fig3.set_defaults(func=cmd_fig3)
 
@@ -309,10 +270,24 @@ def make_parser() -> _Parser:
     return parser
 
 
+def _config_tokens(argv: list[str]) -> list[str]:
+    """Flag tokens of the `--config` file named after the subcommand, if any.
+
+    Read before the full parse, so that a required flag given only in the
+    file is present when the parser checks for it.
+    """
+    pre = _Parser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    known, _ = pre.parse_known_args(argv[1:])
+    return read_config(known.config) if known.config else []
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        # File tokens go right after the subcommand, so later flags win.
+        argv[1:1] = _config_tokens(argv)
+        args = make_parser().parse_args(argv)
         return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

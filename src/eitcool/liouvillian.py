@@ -103,13 +103,13 @@ def _generator(
     return lmat
 
 
-def _null_count(matrix: np.ndarray, tol: float) -> int:
-    """Number of singular values below tol times the largest one."""
+def _null_count(matrix: np.ndarray) -> int:
+    """Number of singular values below DEGENERACY_TOL times the largest one."""
     try:
         svals = np.linalg.svd(matrix, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"degeneracy check failed: {exc}") from exc
-    return int(np.count_nonzero(svals < tol * svals[0]))
+    return int(np.count_nonzero(svals < DEGENERACY_TOL * svals[0]))
 
 
 def _trace_row_solve(matrix: np.ndarray, d: int) -> np.ndarray:
@@ -142,12 +142,12 @@ class SteadyState:
     residual: float
 
 
-def nullspace_dimension(lv: Superoperator, tol: float = DEGENERACY_TOL) -> int:
-    """Number of singular values of the generator below tol * ||L||_2."""
-    return _null_count(lv.matrix, tol)
+def nullspace_dimension(lv: Superoperator) -> int:
+    """Number of singular values of the generator below DEGENERACY_TOL * ||L||_2."""
+    return _null_count(lv.matrix)
 
 
-def steady_state(lv: Superoperator, degeneracy_tol: float = DEGENERACY_TOL) -> SteadyState:
+def steady_state(lv: Superoperator) -> SteadyState:
     """Unique trace-one stationary state of the generator.
 
     Raises DegenerateSteadyStateError when the nullspace dimension exceeds
@@ -155,7 +155,7 @@ def steady_state(lv: Superoperator, degeneracy_tol: float = DEGENERACY_TOL) -> S
     is separately stationary), and NumericalFailureError when the
     trace-constrained solve is singular.
     """
-    ndim = nullspace_dimension(lv, degeneracy_tol)
+    ndim = nullspace_dimension(lv)
     if ndim > 1:
         raise DegenerateSteadyStateError(
             f"stationary subspace has dimension {ndim}; no unique steady state"

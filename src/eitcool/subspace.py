@@ -43,10 +43,8 @@ def _op(i: int, j: int) -> np.ndarray:
 class ProjectedSystem:
     """Hamiltonian and dissipation channels restricted to the seven levels."""
 
-    basis: tuple[tuple[str, int], ...]
     hs: np.ndarray
     jumps: tuple[tuple[float, np.ndarray], ...]
-    eta: float
 
 
 def build_projected(d: DerivedEit, nu: float, delta: float) -> ProjectedSystem:
@@ -77,12 +75,10 @@ def build_projected(d: DerivedEit, nu: float, delta: float) -> ProjectedSystem:
         (d.gamma_b, _op(_B0, _E0)),
         (d.gamma_b, _op(_B1, _E1)),
     )
-    return ProjectedSystem(basis=BASIS_7, hs=hs, jumps=jumps, eta=d.eta)
+    return ProjectedSystem(hs=hs, jumps=jumps)
 
 
-def solve_stationarity(
-    sys: ProjectedSystem, degeneracy_tol: float = liouvillian.DEGENERACY_TOL
-) -> np.ndarray:
+def solve_stationarity(sys: ProjectedSystem) -> np.ndarray:
     """Unique trace-one stationary state of the seven-level model.
 
     Uses the dense solver's generator, degeneracy count and trace-row solve.
@@ -91,7 +87,7 @@ def solve_stationarity(
     parameter, where the dark ladder decouples).
     """
     mat = liouvillian._generator(sys.hs, sys.jumps)
-    n_null = liouvillian._null_count(mat, degeneracy_tol)
+    n_null = liouvillian._null_count(mat)
     if n_null > 1:
         raise DegenerateSteadyStateError(
             f"projected stationary subspace has dimension {n_null}"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .errors import ConfigurationError
-from .sweep import SweepRow, lookup
+from .sweep import REGISTRY, SweepRow
 
 WIDTH, HEIGHT = 640, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 160, 30, 50
@@ -26,7 +26,6 @@ def write_svg(
     rows: list[SweepRow],
     estimators: tuple[str, ...],
     path: str,
-    title: str | None = None,
 ) -> None:
     """Render one polyline per estimator; points without a value are skipped."""
     series = {
@@ -63,11 +62,6 @@ def write_svg(
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#333333" stroke-width="1"/>',
     ]
-    if title:
-        out.append(
-            f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
 
     for tick in _log_ticks(y_lo, y_hi):
         if tick < y_lo or tick > y_hi:
@@ -106,7 +100,7 @@ def write_svg(
     )
 
     legend_y = MARGIN_T + 10
-    for est in lookup(estimators):
+    for est in (REGISTRY[name] for name in estimators):
         pts = series[est.name]
         color = est.color
         if pts:

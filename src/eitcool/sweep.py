@@ -1,13 +1,15 @@
 """Parameter sweeps over the cooling estimators, with CSV/JSON/SVG output.
 
-A sweep varies one of {omega_g, eta_g, gamma_g} over a grid while a lock
-constraint keeps the rest of the configuration consistent (fixed Rabi ratio,
-fixed total linewidth, or equal Lamb-Dicke parameters).  The detuning is
-recomputed from the resonance condition at every grid point unless an
-explicit override is given; a single point is evaluated at the detuning its
-parameters carry.  Every estimator, with its CSV column, plot label and
-colour, is one entry of REGISTRY.  Estimator failures are recorded per row
-as typed flags, never raised past the runner.
+A sweep varies one of {omega_g, eta_g, gamma_g} over a grid, and each axis
+has one rule for the parameter that moves with it: an omega_g sweep keeps
+the Rabi ratio, an eta_g sweep keeps eta_r = eta_g, and a gamma_g sweep
+keeps the total linewidth.  The detuning is recomputed from the resonance
+condition at every grid point unless an explicit override is given; a
+single point is evaluated at the detuning its parameters carry.  Every
+estimator, with its CSV column, plot label and colour, is one entry of
+REGISTRY.  The run options (estimators, cutoff, Hamiltonian) are checked
+once, by `lookup`, before anything is evaluated; estimator failures are
+recorded per row as typed flags, never raised past the runner.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ import csv
 import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
-from . import analytic, liouvillian, physics, subspace
+from . import analytic, hilbert, liouvillian, physics, subspace
 from .errors import (
     ConfigurationError,
     DegenerateSteadyStateError,
@@ -29,8 +31,10 @@ from .errors import (
 )
 
 VARY_AXES = ("omega_g", "eta_g", "gamma_g")
-LOCKS = ("omega_ratio", "gamma_total", "eta_equal")
-LOCK_FOR_AXIS = {"omega_g": "omega_ratio", "eta_g": "eta_equal", "gamma_g": "gamma_total"}
+# Names, not functions: `_numeric_full` looks the `physics` function up at
+# call time, so a wrapper installed on the module (a timer) is honoured.
+HAMILTONIANS = ("ld", "full")
+FORMATS = ("csv", "json", "svg")
 
 DEFAULT_N_MAX = 12
 
@@ -53,7 +57,6 @@ class SweepSpec:
 
     vary: str
     grid: tuple[float, ...]
-    lock: str
     base: physics.CoolingParams
     estimators: tuple[str, ...]
     n_max: int = DEFAULT_N_MAX
@@ -65,30 +68,20 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.vary not in VARY_AXES:
             raise ConfigurationError(f"unknown sweep axis {self.vary!r}")
-        if self.lock not in LOCKS:
-            raise ConfigurationError(f"unknown lock mode {self.lock!r}")
-        if LOCK_FOR_AXIS[self.vary] != self.lock:
-            raise ConfigurationError(
-                f"lock {self.lock!r} is inconsistent with sweep axis {self.vary!r}"
-            )
         if not self.grid:
             raise ConfigurationError("sweep grid must be non-empty")
         if not all(math.isfinite(v) for v in self.grid):
             raise ConfigurationError("sweep grid values must be finite")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ConfigurationError("sweep grid must be strictly increasing")
-        lookup(self.estimators)
-        if self.hamiltonian not in ("ld", "full"):
-            raise ConfigurationError(
-                f"hamiltonian must be 'ld' or 'full', got {self.hamiltonian!r}"
-            )
-        if self.fmt not in ("csv", "json", "svg"):
+        lookup(self.estimators, self.n_max, self.hamiltonian)
+        if self.fmt not in FORMATS:
             raise ConfigurationError(f"unknown output format {self.fmt!r}")
         if self.vary == "gamma_g":
             total = self.base.gamma_g + self.base.gamma_r
             if self.grid[-1] >= total:
                 raise ConfigurationError(
-                    f"gamma_g grid reaches the locked total linewidth {total}"
+                    f"gamma_g grid reaches the fixed total linewidth {total}"
                 )
 
 
@@ -107,14 +100,14 @@ class SweepRow:
 
 
 def params_at(spec: SweepSpec, value: float) -> physics.CoolingParams:
-    """Base parameters moved to one grid point under the lock constraint."""
+    """Base parameters moved to one grid point under the axis's rule."""
     base = spec.base
     if spec.vary == "omega_g":
         if base.omega_r <= 0:
-            raise ConfigurationError("omega_ratio lock requires omega_r > 0")
+            raise ConfigurationError("an omega_g sweep requires omega_r > 0")
         ratio = base.omega_g / base.omega_r
         if ratio <= 0:
-            raise ConfigurationError("omega_ratio lock requires omega_g > 0")
+            raise ConfigurationError("an omega_g sweep requires omega_g > 0")
         params = replace(base, omega_g=value, omega_r=value / ratio)
     elif spec.vary == "eta_g":
         params = replace(base, eta_g=value, eta_r=value)
@@ -215,8 +208,18 @@ ESTIMATORS = tuple(REGISTRY)
 DEFAULT_ESTIMATORS = ("numeric_full", "eq1", "eq15")
 
 
-def lookup(names: tuple[str, ...]) -> list[Estimator]:
-    """Registry entries for the requested estimator names, in request order."""
+def lookup(names: tuple[str, ...], n_max: int, hamiltonian: str) -> list[Estimator]:
+    """Registry entries for the requested estimator names, in request order.
+
+    This is the one check of a run's options: the estimator names, the
+    phonon cutoff and the Hamiltonian name.  It runs before anything is
+    evaluated, even when no requested estimator uses the cutoff.
+    """
+    hilbert.validate_cutoff(n_max)
+    if hamiltonian not in HAMILTONIANS:
+        raise ConfigurationError(
+            f"hamiltonian must be one of {', '.join(HAMILTONIANS)}, got {hamiltonian!r}"
+        )
     if not names:
         raise ConfigurationError("at least one estimator must be requested")
     for name in names:
@@ -254,7 +257,7 @@ def run_point(
     nbar: dict[str, float] = {}
     extra: dict = {}
     flags: list[str] = []
-    for est in lookup(estimators):
+    for est in lookup(estimators, n_max, hamiltonian):
         try:
             nbar[est.name], more = est.evaluate(point)
         except EitCoolError as exc:
@@ -329,7 +332,6 @@ def builtin_figure3(
     return SweepSpec(
         vary=vary,
         grid=_PANEL_GRIDS[grid_key],
-        lock=LOCK_FOR_AXIS[vary],
         base=base,
         estimators=tuple(estimators),
         n_max=n_max,
@@ -402,22 +404,7 @@ def read_csv(path: str) -> list[SweepRow]:
 
 
 def rows_to_json(rows: list[SweepRow], estimators: tuple[str, ...]) -> str:
-    payload = {
-        "estimators": list(estimators),
-        "rows": [
-            {
-                "vary": row.vary,
-                "value": row.value,
-                "nbar": row.nbar,
-                "eq15_term1": row.eq15_term1,
-                "eq15_term2": row.eq15_term2,
-                "flags": list(row.flags),
-                "residual": row.residual,
-                "nullspace_dim": row.nullspace_dim,
-            }
-            for row in rows
-        ],
-    }
+    payload = {"estimators": list(estimators), "rows": [asdict(r) for r in rows]}
     return json.dumps(payload, indent=2)
 
 

@@ -1,8 +1,11 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from eitcool.cli import main, read_config
+from eitcool.cli import main, make_parser, read_config
 
 
 def run_cli(capsys, *argv):
@@ -66,6 +69,17 @@ class TestPoint:
         assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("point",),
+    ("sweep", "--vary", "gamma_g", "--grid", "2,5"),
+])
+def test_cutoff_below_two_gives_exit_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--n-max", "1")
+    assert code == 1
+    assert "phonon cutoff must be >= 2" in err
+    assert out == ""
+
+
 class TestSweepCommand:
     def test_stdout_csv(self, capsys):
         code, out, _ = run_cli(
@@ -114,6 +128,39 @@ class TestConfigFile:
         assert code == 0
         assert "delta = 112.5" in out
 
+    @pytest.mark.parametrize("line, message", [
+        ("hamiltonian = foo", "invalid choice: 'foo'"),
+        ("omega_q = 3", "--omega-q=3"),
+        ("delta = 5", "--delta=5"),
+        ("config = other.cfg", "cannot name another one"),
+    ])
+    def test_bad_key_or_value_gives_exit_1(self, capsys, tmp_path, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"estimators = numeric_full\nn_max = 4\n{line}\n")
+        code, out, err = run_cli(capsys, "point", "--config", str(cfg))
+        assert code == 1
+        assert message in err
+        assert out == ""
+
+    def test_negative_value(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta_override = -5\nestimators = eq1\n")
+        code, out, _ = run_cli(capsys, "point", "--config", str(cfg))
+        assert code == 0
+        assert "delta = -5 (resonance condition overridden)" in out
+
+    def test_required_flag_from_file_and_flag_override(self, capsys, tmp_path):
+        cfg = tmp_path / "fig3.cfg"
+        out_path = tmp_path / "panel.csv"
+        cfg.write_text(f"panel = a\nestimators = eq1\nn_max = 4\nout = {out_path}\n")
+        code, _, _ = run_cli(capsys, "fig3", "--config", str(cfg))
+        assert code == 0
+        lines = out_path.read_text().splitlines()
+        assert len(lines) == 10 and lines[1].startswith("omega_g,")
+        code, _, _ = run_cli(capsys, "fig3", "--config", str(cfg), "--panel", "f")
+        assert code == 0
+        assert out_path.read_text().splitlines()[1].startswith("gamma_g,")
+
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("omega_g 10\n")
@@ -147,3 +194,22 @@ class TestSelftest:
         assert code == 0
         assert "selftest passed" in out
         assert "FAIL" not in out
+
+
+def readme_commands() -> list[list[str]]:
+    """Arguments of every `eitcool ...` command in README.md's code blocks."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```\w*\n(.*?)^```", text, re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            tokens = shlex.split(line, comments=True)
+            if tokens[:1] == ["eitcool"]:
+                commands.append(tokens[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 5
+    for argv in commands:
+        make_parser().parse_args(argv)

@@ -16,42 +16,37 @@ class TestSweepSpecValidation:
 
     def test_unknown_axis(self):
         with pytest.raises(ConfigurationError):
-            sweep.SweepSpec(vary="nu", grid=(1.0,), lock="omega_ratio",
-                            base=self.base(), estimators=("eq1",))
-
-    def test_lock_axis_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            sweep.SweepSpec(vary="omega_g", grid=(1.0, 2.0), lock="gamma_total",
+            sweep.SweepSpec(vary="nu", grid=(1.0,),
                             base=self.base(), estimators=("eq1",))
 
     def test_empty_grid(self):
         with pytest.raises(ConfigurationError):
-            sweep.SweepSpec(vary="omega_g", grid=(), lock="omega_ratio",
+            sweep.SweepSpec(vary="omega_g", grid=(),
                             base=self.base(), estimators=("eq1",))
 
     def test_non_increasing_grid(self):
         with pytest.raises(ConfigurationError):
-            sweep.SweepSpec(vary="omega_g", grid=(2.0, 2.0), lock="omega_ratio",
+            sweep.SweepSpec(vary="omega_g", grid=(2.0, 2.0),
                             base=self.base(), estimators=("eq1",))
 
     def test_empty_estimators(self):
         with pytest.raises(ConfigurationError):
-            sweep.SweepSpec(vary="omega_g", grid=(2.0, 3.0), lock="omega_ratio",
+            sweep.SweepSpec(vary="omega_g", grid=(2.0, 3.0),
                             base=self.base(), estimators=())
 
     def test_unknown_estimator(self):
         with pytest.raises(ConfigurationError):
-            sweep.SweepSpec(vary="omega_g", grid=(2.0, 3.0), lock="omega_ratio",
+            sweep.SweepSpec(vary="omega_g", grid=(2.0, 3.0),
                             base=self.base(), estimators=("eq99",))
 
     def test_non_finite_grid(self):
         with pytest.raises(ConfigurationError):
-            sweep.SweepSpec(vary="omega_g", grid=(2.0, float("nan")), lock="omega_ratio",
+            sweep.SweepSpec(vary="omega_g", grid=(2.0, float("nan")),
                             base=self.base(), estimators=("eq1",))
 
     def test_gamma_grid_exceeding_total(self):
         with pytest.raises(ConfigurationError):
-            sweep.SweepSpec(vary="gamma_g", grid=(5.0, 25.0), lock="gamma_total",
+            sweep.SweepSpec(vary="gamma_g", grid=(5.0, 25.0),
                             base=self.base(), estimators=("eq1",))
 
 
@@ -113,18 +108,24 @@ class TestRunPoint:
         with pytest.raises(ConfigurationError):
             sweep.run_point(bench_params(15.0, 15.0), ("eq1", "eq99"), **FAST)
 
+    @pytest.mark.parametrize("options", [
+        dict(n_max=4, hamiltonian="foo"),
+        dict(n_max=1, hamiltonian="ld"),
+    ])
+    def test_bad_run_option_rejected_before_evaluation(self, options):
+        with pytest.raises(ConfigurationError):
+            sweep.run_point(bench_params(15.0, 15.0), ("numeric_full",), **options)
+
 
 class TestBuiltinPanels:
     def test_panel_a_configuration(self):
         spec = sweep.builtin_figure3("a")
         assert spec.vary == "omega_g"
-        assert spec.lock == "omega_ratio"
         assert spec.base.omega_g / spec.base.omega_r == pytest.approx(0.2)
 
     def test_panel_c_configuration(self):
         spec = sweep.builtin_figure3("c")
         assert spec.vary == "eta_g"
-        assert spec.lock == "eta_equal"
         assert spec.base.omega_g == 4.0
         assert spec.base.omega_r == 20.0
 
@@ -158,7 +159,6 @@ class TestCsvRoundTrip:
         spec = sweep.SweepSpec(
             vary="gamma_g",
             grid=(2.0, 5.0, 10.0),
-            lock="gamma_total",
             base=bench_params(15.0, 15.0),
             estimators=estimators,
             n_max=6,
@@ -218,7 +218,7 @@ class TestCsvRoundTrip:
 
     def test_unwritable_output_is_config_error(self, tmp_path):
         spec = sweep.SweepSpec(
-            vary="gamma_g", grid=(2.0,), lock="gamma_total",
+            vary="gamma_g", grid=(2.0,),
             base=bench_params(15.0, 15.0), estimators=("eq1",),
             n_max=4, output=str(tmp_path / "missing" / "out.csv"), fmt="csv",
         )
