@@ -6,8 +6,9 @@ the same parser: each key names one of the subcommand's long flags
 (`n_max` or `n-max` for `--n-max`), so a key the subcommand has no flag for
 is rejected, and flags on the command line win over the file.  The library
 checks the estimator names, the cutoff and the Hamiltonian before
-evaluating anything.  Exit codes: 0 success, 1 configuration error, 2
-numerical failure.
+evaluating anything.  Without `--out`, `point` prints text, `sweep` CSV, and
+both JSON for `--format json`; `--format svg` needs `--out`.  Exit codes, for
+every format: 0 success, 1 configuration error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -98,6 +99,8 @@ def build_params(args: argparse.Namespace) -> physics.CoolingParams:
 
 
 def cmd_point(args: argparse.Namespace) -> int:
+    if args.format == "svg" and not args.out:
+        raise ConfigurationError("--format svg needs --out")
     params = build_params(args)
     row = sweep.run_point(
         params, args.estimators, n_max=args.n_max, hamiltonian=args.hamiltonian
@@ -105,6 +108,8 @@ def cmd_point(args: argparse.Namespace) -> int:
     if args.out:
         sweep.write_output([row], args.estimators, args.out, args.format)
         print(f"wrote {args.out}")
+    elif args.format == "json":
+        print(sweep.rows_to_json([row], args.estimators))
     else:
         print(f"delta = {params.delta:.6g} (resonance condition"
               f"{' overridden' if args.delta_override is not None else ''})")
@@ -122,6 +127,8 @@ def cmd_point(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.format == "svg" and not args.out:
+        raise ConfigurationError("--format svg needs --out")
     spec = sweep.SweepSpec(
         vary=args.vary,
         grid=args.grid,
@@ -134,11 +141,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         fmt=args.format,
     )
     rows = sweep.run_sweep(spec)
-    if spec.output is None:
+    if spec.output is not None:
+        print(f"wrote {spec.output}")
+    elif spec.fmt == "json":
+        print(sweep.rows_to_json(rows, spec.estimators))
+    else:
         for line in sweep.rows_to_csv(rows, spec.estimators):
             print(",".join(line))
-    else:
-        print(f"wrote {spec.output}")
     if all(not row.nbar for row in rows):
         raise NumericalFailureError("every grid point failed")
     return 0
@@ -249,7 +258,8 @@ def make_parser() -> _Parser:
         p.add_argument("--hamiltonian", choices=sweep.HAMILTONIANS, default="ld",
                        help="first-order Lamb-Dicke (default) or exponential-kick")
         p.add_argument("--out", help="output file path")
-        p.add_argument("--format", choices=sweep.FORMATS, default="csv")
+        p.add_argument("--format", choices=sweep.FORMATS, default="csv",
+                       help="output format; svg needs --out")
         return p
 
     p_point = add_run_parser("point", "evaluate the estimators at one parameter point")

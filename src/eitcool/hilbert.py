@@ -1,9 +1,11 @@
 """Composite Hilbert space of a three-level ion and a truncated phonon ladder.
 
-The composite basis is ordered internal-fastest: the state (level i, phonon n)
-sits at flat index 3*n + i.  This keeps the low phonon sectors in the
-top-left corner of every matrix, which makes small-cutoff debugging and the
-seven-level projected model straightforward.
+The internal levels have fixed indices, G, R, E = 0, 1, 2 in the laser basis
+("gre") and D, B, E in the rotated dark/bright basis ("dbe").  The composite
+basis is ordered internal-fastest: the state (level i, phonon n) sits at flat
+index 3*n + i.  This keeps the low phonon sectors in the top-left corner of
+every matrix, which makes small-cutoff debugging and the seven-level
+projected model straightforward.
 
 Truncation of the ladder is hard: operators are built directly on the
 (n_max + 1)-dimensional phonon space with no reflective or absorbing
@@ -19,13 +21,12 @@ from .errors import ConfigurationError
 
 N_INTERNAL = 3
 
-GRE_LEVELS = ("g", "r", "e")
-DBE_LEVELS = ("d", "b", "e")
-BASIS_LEVELS = {"gre": GRE_LEVELS, "dbe": DBE_LEVELS}
+G, R, E = 0, 1, 2
+D, B = G, R  # the rotated basis puts d and b where g and r were
 
 
 def validate_basis(basis: str) -> str:
-    if basis not in BASIS_LEVELS:
+    if basis not in ("gre", "dbe"):
         raise ConfigurationError(
             f"unknown basis tag {basis!r}; expected 'gre' or 'dbe'"
         )
@@ -46,21 +47,8 @@ def dim(n_max: int) -> int:
     return N_INTERNAL * (n_max + 1)
 
 
-def level_ordinal(label: str, basis: str) -> int:
-    levels = BASIS_LEVELS[validate_basis(basis)]
-    try:
-        return levels.index(label)
-    except ValueError:
-        raise ConfigurationError(f"level {label!r} not in basis {basis!r}") from None
-
-
 def flat_index(internal: int, phonon: int) -> int:
     return N_INTERNAL * phonon + internal
-
-
-def split_index(flat: int) -> tuple[int, int]:
-    """Inverse of flat_index: returns (internal, phonon)."""
-    return flat % N_INTERNAL, flat // N_INTERNAL
 
 
 def ketbra(i: int, j: int) -> np.ndarray:

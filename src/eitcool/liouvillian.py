@@ -1,10 +1,13 @@
 """Dense Lindblad superoperator, exact steady states, and an RK4 oracle.
 
 The vectorization convention is column-stacking throughout: vec(A X B) =
-kron(B^T, A) vec(X).  Steady states are found by replacing one redundant row
-of the generator with the vectorized trace functional and solving the
-resulting linear system; uniqueness is established separately by counting
-near-zero singular values of the unmodified generator.
+kron(B^T, A) vec(X).  The generator is written with the effective
+Hamiltonian H_eff = H - (i/2) sum_k gamma_k L_k^dag L_k as
+-i kron(1, H_eff) + i kron(H_eff^*, 1) + sum_k gamma_k kron(L_k^*, L_k), one
+Kronecker product per jump.  Steady states are found by replacing one
+redundant row of the generator with the vectorized trace functional and
+solving the resulting linear system; uniqueness is established separately
+by counting near-zero singular values of the unmodified generator.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ def build_liouvillian(
 def _generator(
     hamiltonian: np.ndarray, jumps: list[tuple[float, np.ndarray]]
 ) -> np.ndarray:
-    """Column-stacked matrix of the Lindblad generator (see build_liouvillian)."""
+    """Column-stacked Lindblad generator, built from the effective Hamiltonian."""
     h = np.asarray(hamiltonian, dtype=complex)
     d = h.shape[0]
     if h.shape != (d, d):
@@ -84,22 +87,20 @@ def _generator(
         raise ConfigurationError(
             f"Hamiltonian is not Hermitian (defect {herm_defect:.3e})"
         )
-    eye = np.eye(d, dtype=complex)
-    lmat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    jumps = [(rate, np.asarray(op, dtype=complex)) for rate, op in jumps]
+    heff = h.copy()
     for rate, op in jumps:
         if rate < 0:
             raise ConfigurationError(f"jump rate must be non-negative, got {rate}")
-        op = np.asarray(op, dtype=complex)
         if op.shape != (d, d):
             raise ConfigurationError(
                 f"jump operator shape {op.shape} does not match dimension {d}"
             )
-        opdop = op.conj().T @ op
-        lmat += 0.5 * rate * (
-            2.0 * np.kron(op.conj(), op)
-            - np.kron(opdop.T, eye)
-            - np.kron(eye, opdop)
-        )
+        heff -= 0.5j * rate * (op.conj().T @ op)
+    eye = np.eye(d, dtype=complex)
+    lmat = -1j * np.kron(eye, heff) + 1j * np.kron(heff.conj(), eye)
+    for rate, op in jumps:
+        lmat += rate * np.kron(op.conj(), op)
     return lmat
 
 
@@ -185,9 +186,7 @@ def phonon_occupation(state: SteadyState | np.ndarray) -> float:
         raise ConfigurationError(
             f"state of dimension {d} does not live on the composite space"
         )
-    n_max = d // hilbert.N_INTERNAL - 1
-    num = hilbert.embed(hilbert.identity_internal(), hilbert.number_operator(n_max))
-    val = np.trace(rho @ num)
+    val = (np.diagonal(rho) * (np.arange(d) // hilbert.N_INTERNAL)).sum()
     if abs(val.imag) > 1e-10:
         raise NumericalFailureError(
             f"phonon occupation has imaginary part {val.imag:.3e}"

@@ -3,7 +3,10 @@
 All frequencies and rates are expressed in units of the trap frequency, which
 is therefore fixed to 1 unless a caller deliberately rescales it.  Two internal
 representations are supported: the laser-coupled levels ("gre") and the
-rotated dark/bright pair plus the shared excited state ("dbe").
+rotated dark/bright pair plus the shared excited state ("dbe").  Every
+Hamiltonian is assembled by one builder from a list of laser couplings: the
+lower level (a fixed index of `hilbert`) and the phonon operator the laser
+applies with it.
 """
 
 from __future__ import annotations
@@ -161,15 +164,23 @@ def dark_bright_unitary(theta: float) -> np.ndarray:
     )
 
 
-def _free_part(params: CoolingParams, n_max: int, basis: str) -> np.ndarray:
-    e = hilbert.level_ordinal("e", basis)
-    out = params.nu * hilbert.embed(
+def _laser_hamiltonian(
+    params: CoolingParams, n_max: int, couplings: list[tuple[int, np.ndarray]]
+) -> np.ndarray:
+    """nu a^dag a - delta |e><e| + sum of 1/2 |e><l| (x) C + h.c. over (l, C).
+
+    Each coupling pairs a lower level l with the phonon operator C of the
+    laser driving l <-> e; every Hamiltonian here is this sum.
+    """
+    i_ph = hilbert.identity_phonon(n_max)
+    h = params.nu * hilbert.embed(
         hilbert.identity_internal(), hilbert.number_operator(n_max)
     )
-    out -= params.delta * hilbert.embed(
-        hilbert.ketbra(e, e), hilbert.identity_phonon(n_max)
-    )
-    return out
+    h -= params.delta * hilbert.embed(hilbert.ketbra(hilbert.E, hilbert.E), i_ph)
+    for lower, op in couplings:
+        term = 0.5 * hilbert.embed(hilbert.ketbra(hilbert.E, lower), op)
+        h += term + term.conj().T
+    return h
 
 
 def hamiltonian_ld(
@@ -180,6 +191,7 @@ def hamiltonian_ld(
 ) -> np.ndarray:
     """First-order Lamb-Dicke Hamiltonian in the requested internal basis.
 
+    Each laser couples its level with Omega (1 + i eta cos(phi) (a + a^dag)).
     In the "dbe" basis the bright-state sideband term is dropped by default
     (its effect on the steady state enters only at fourth order in the
     Lamb-Dicke parameters); pass include_bright_sideband=True to retain it,
@@ -189,32 +201,21 @@ def hamiltonian_ld(
     hilbert.validate_basis(basis)
     i_ph = hilbert.identity_phonon(n_max)
     x = hilbert.annihilation(n_max) + hilbert.creation(n_max)
-    h = _free_part(params, n_max, basis)
-
     if basis == "gre":
-        g, r, e = (hilbert.level_ordinal(l, basis) for l in "gre")
-        for lvl, omega, eta, phi in (
-            (g, params.omega_g, params.eta_g, params.phi_g),
-            (r, params.omega_r, params.eta_r, params.phi_r),
-        ):
-            carrier = 0.5 * omega * hilbert.embed(hilbert.ketbra(e, lvl), i_ph)
-            sideband = (
-                0.5j * eta * math.cos(phi) * omega
-                * hilbert.embed(hilbert.ketbra(e, lvl), x)
+        couplings = [
+            (lower, omega * i_ph + 1j * lam * omega * x)
+            for lower, omega, lam in (
+                (hilbert.G, params.omega_g, params.eta_g * math.cos(params.phi_g)),
+                (hilbert.R, params.omega_r, params.eta_r * math.cos(params.phi_r)),
             )
-            h += carrier + carrier.conj().T + sideband + sideband.conj().T
-        return h
-
-    d = derive_eit(params)
-    dd, b, e = (hilbert.level_ordinal(l, basis) for l in "dbe")
-    carrier = 0.5 * d.omega_b * hilbert.embed(hilbert.ketbra(e, b), i_ph)
-    sideband = 0.5j * d.eta * d.omega_d * hilbert.embed(hilbert.ketbra(e, dd), x)
-    h += carrier + carrier.conj().T + sideband + sideband.conj().T
-    if include_bright_sideband:
-        gb = bright_sideband_coupling(params)
-        term = 1j * gb * hilbert.embed(hilbert.ketbra(e, b), x)
-        h += term + term.conj().T
-    return h
+        ]
+    else:
+        d = derive_eit(params)
+        bright = d.omega_b * i_ph
+        if include_bright_sideband:
+            bright = bright + 2j * bright_sideband_coupling(params) * x
+        couplings = [(hilbert.D, 1j * d.eta * d.omega_d * x), (hilbert.B, bright)]
+    return _laser_hamiltonian(params, n_max, couplings)
 
 
 def hamiltonian_full(params: CoolingParams, n_max: int) -> np.ndarray:
@@ -226,17 +227,14 @@ def hamiltonian_full(params: CoolingParams, n_max: int) -> np.ndarray:
     n_max = hilbert.validate_cutoff(n_max)
     i_ph = hilbert.identity_phonon(n_max)
     x = hilbert.annihilation(n_max) + hilbert.creation(n_max)
-    g, r, e = (hilbert.level_ordinal(l, "gre") for l in "gre")
-    h = _free_part(params, n_max, "gre")
-    for lvl, omega, eta, phi in (
-        (g, params.omega_g, params.eta_g, params.phi_g),
-        (r, params.omega_r, params.eta_r, params.phi_r),
-    ):
-        lam = eta * math.cos(phi)
-        kick = i_ph if lam == 0 else expm(1j * lam * x)
-        term = 0.5 * omega * hilbert.embed(hilbert.ketbra(e, lvl), kick)
-        h += term + term.conj().T
-    return h
+    couplings = [
+        (lower, omega * i_ph if lam == 0 else omega * expm(1j * lam * x))
+        for lower, omega, lam in (
+            (hilbert.G, params.omega_g, params.eta_g * math.cos(params.phi_g)),
+            (hilbert.R, params.omega_r, params.eta_r * math.cos(params.phi_r)),
+        )
+    ]
+    return _laser_hamiltonian(params, n_max, couplings)
 
 
 def jump_operators(
@@ -244,22 +242,20 @@ def jump_operators(
 ) -> list[tuple[float, np.ndarray]]:
     """Spontaneous-emission jump operators at zeroth order in the recoil.
 
-    Returns [(rate, operator), ...] with the operators acting as
-    |target><e| tensored with the phonon identity.  The rates sum to the
-    total linewidth in either basis.
+    Returns [(rate, operator), ...] with the operators |g><e| and |r><e|
+    (|d><e| and |b><e| in the rotated basis, the same matrices) tensored
+    with the phonon identity.  Only the rates depend on the basis; they sum
+    to the total linewidth in either.
     """
     n_max = hilbert.validate_cutoff(n_max)
     hilbert.validate_basis(basis)
-    i_ph = hilbert.identity_phonon(n_max)
-    e = hilbert.level_ordinal("e", basis)
     if basis == "gre":
         rates = (params.gamma_g, params.gamma_r)
-        targets = ("g", "r")
     else:
         d = derive_eit(params)
         rates = (d.gamma_d, d.gamma_b)
-        targets = ("d", "b")
+    i_ph = hilbert.identity_phonon(n_max)
     return [
-        (rate, hilbert.embed(hilbert.ketbra(hilbert.level_ordinal(t, basis), e), i_ph))
-        for rate, t in zip(rates, targets)
+        (rate, hilbert.embed(hilbert.ketbra(lower, hilbert.E), i_ph))
+        for rate, lower in zip(rates, (hilbert.G, hilbert.R))
     ]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConfigurationError
+from .errors import NumericalFailureError
 from .sweep import REGISTRY, SweepRow
 
 WIDTH, HEIGHT = 640, 440
@@ -34,7 +34,7 @@ def write_svg(
     }
     points = [pt for pts in series.values() for pt in pts]
     if not points:
-        raise ConfigurationError("nothing to plot: no estimator produced a value")
+        raise NumericalFailureError("nothing to plot: no estimator produced a value")
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     x_lo, x_hi = min(xs), max(xs)

@@ -32,13 +32,36 @@ class TestPoint:
         assert code == 0
         assert "delta = 100" in out
 
-    def test_all_estimators_failing_gives_exit_2(self, capsys):
-        code, _, err = run_cli(
-            capsys, "point", "--eta-g", "0", "--eta-r", "0",
-            "--estimators", "numeric_full", "--n-max", "4",
-        )
+    @pytest.mark.parametrize("out", [None, "p.csv", "p.svg"],
+                             ids=["stdout", "csv", "svg"])
+    @pytest.mark.parametrize("command", [
+        ("point",),
+        ("sweep", "--vary", "omega_g", "--grid", "2,4"),
+    ], ids=["point", "sweep"])
+    def test_all_estimators_failing_gives_exit_2(self, capsys, tmp_path, command, out):
+        # the exit code does not depend on the command or the output format
+        argv = [*command, "--eta-g", "0", "--eta-r", "0",
+                "--estimators", "numeric_full", "--n-max", "4"]
+        if out:
+            argv += ["--format", out[-3:], "--out", str(tmp_path / out)]
+        code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "numerical failure" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "svg"])
+    def test_format_without_out(self, capsys, tmp_path, fmt):
+        # json prints the document --out would write; svg needs a file
+        argv = ["point", "--estimators", "eq1", "--format", fmt]
+        code, out, err = run_cli(capsys, *argv)
+        if fmt == "svg":
+            assert (code, out) == (1, "")
+            assert "--out" in err
+        else:
+            assert code == 0
+            path = tmp_path / "p.json"
+            run_cli(capsys, *argv, "--out", str(path))
+            assert out == path.read_text()
+            assert json.loads(out)["rows"][0]["nbar"]["eq1"] > 0
 
     def test_bad_configuration_gives_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "point", "--omega-g", "-3")
@@ -81,16 +104,31 @@ def test_cutoff_below_two_gives_exit_1(capsys, argv):
 
 
 class TestSweepCommand:
-    def test_stdout_csv(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "sweep", "--vary", "gamma_g", "--grid", "2,5,10",
-            "--omega-g", "15", "--omega-r", "15",
-            "--estimators", "eq1,eq15", "--n-max", "4",
-        )
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0].startswith("vary,value,")
-        assert len(lines) == 4
+    @pytest.mark.parametrize("fmt", [None, "json", "svg"],
+                             ids=["default", "json", "svg"])
+    def test_stdout_csv(self, capsys, tmp_path, fmt):
+        # without --out: CSV by default, the JSON document --out would
+        # write for json, and exit 1 for svg
+        argv = ["sweep", "--vary", "gamma_g", "--grid", "2,5,10",
+                "--omega-g", "15", "--omega-r", "15",
+                "--estimators", "eq1,eq15", "--n-max", "4"]
+        if fmt:
+            argv += ["--format", fmt]
+        code, out, err = run_cli(capsys, *argv)
+        if fmt is None:
+            assert code == 0
+            lines = out.strip().splitlines()
+            assert lines[0].startswith("vary,value,")
+            assert len(lines) == 4
+        elif fmt == "json":
+            assert code == 0
+            path = tmp_path / "sweep.json"
+            run_cli(capsys, *argv, "--out", str(path))
+            assert out == path.read_text()
+            assert len(json.loads(out)["rows"]) == 3
+        else:
+            assert (code, out) == (1, "")
+            assert "--out" in err
 
     def test_missing_grid_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--vary", "gamma_g")

@@ -48,7 +48,7 @@ def test_embed_identity():
 
 def test_embed_projector_trace():
     n_max = 5
-    e = hilbert.level_ordinal("e", "gre")
+    e = hilbert.E
     out = hilbert.embed(hilbert.ketbra(e, e), hilbert.identity_phonon(n_max))
     assert out.trace() == pytest.approx(n_max + 1)
 
@@ -56,8 +56,7 @@ def test_embed_projector_trace():
 def test_embed_ladder_action_on_basis_state():
     # (|e><d| x a) applied to |d,1> lands on |e,0> with unit amplitude
     n_max = 3
-    d = hilbert.level_ordinal("d", "dbe")
-    e = hilbert.level_ordinal("e", "dbe")
+    d, e = hilbert.D, hilbert.E
     op = hilbert.embed(hilbert.ketbra(e, d), hilbert.annihilation(n_max))
     out = op @ hilbert.basis_vector(d, 1, n_max)
     expected = hilbert.basis_vector(e, 0, n_max)
@@ -77,7 +76,7 @@ def test_flat_index_round_trip():
     for phonon in range(n_max + 1):
         for internal in range(3):
             flat = hilbert.flat_index(internal, phonon)
-            assert hilbert.split_index(flat) == (internal, phonon)
+            assert divmod(flat, hilbert.N_INTERNAL) == (phonon, internal)
             seen.add(flat)
     assert seen == set(range(hilbert.dim(n_max)))
 
@@ -97,6 +96,4 @@ def test_embed_mixed_product_property(rng):
 
 def test_unknown_basis_rejected():
     with pytest.raises(ConfigurationError):
-        hilbert.level_ordinal("g", "xyz")
-    with pytest.raises(ConfigurationError):
-        hilbert.level_ordinal("q", "gre")
+        hilbert.validate_basis("xyz")

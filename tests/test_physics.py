@@ -118,7 +118,7 @@ class TestHamiltonianLD:
     def test_dark_rows_decouple_at_zero_recoil(self):
         p = bench_params(15.0, 15.0, eta_g=0.0, eta_r=0.0)
         h = hamiltonian_ld(p, 4, basis="dbe")
-        d = hilbert.level_ordinal("d", "dbe")
+        d = hilbert.D
         for n in range(5):
             row = h[hilbert.flat_index(d, n), :].copy()
             row[hilbert.flat_index(d, n)] = 0.0  # remove the diagonal energy
@@ -128,8 +128,8 @@ class TestHamiltonianLD:
         p = bench_params(15.0, 15.0)
         d = derive_eit(p)
         h = hamiltonian_ld(p, 4, basis="dbe")
-        e0 = hilbert.flat_index(hilbert.level_ordinal("e", "dbe"), 0)
-        d1 = hilbert.flat_index(hilbert.level_ordinal("d", "dbe"), 1)
+        e0 = hilbert.flat_index(hilbert.E, 0)
+        d1 = hilbert.flat_index(hilbert.D, 1)
         assert h[e0, d1] == pytest.approx(0.5j * d.eta * d.omega_d, rel=1e-12)
 
     def test_bases_unitarily_equivalent_with_bright_sideband(self):
@@ -147,9 +147,9 @@ class TestHamiltonianLD:
         diff = hamiltonian_ld(p, n_max, basis="dbe", include_bright_sideband=True) \
             - hamiltonian_ld(p, n_max, basis="dbe")
         x = hilbert.annihilation(n_max) + hilbert.creation(n_max)
-        b = hilbert.level_ordinal("b", "dbe")
-        e = hilbert.level_ordinal("e", "dbe")
-        term = 1j * bright_sideband_coupling(p) * hilbert.embed(hilbert.ketbra(e, b), x)
+        term = 1j * bright_sideband_coupling(p) * hilbert.embed(
+            hilbert.ketbra(hilbert.E, hilbert.B), x
+        )
         np.testing.assert_allclose(diff, term + term.conj().T, atol=1e-13)
 
     def test_unknown_basis(self):
@@ -203,7 +203,7 @@ class TestJumpOperators:
         p = bench_params(4.0, 20.0)
         n_max = 3
         (rate_g, op_g), _ = jump_operators(p, n_max, basis="gre")
-        g = hilbert.level_ordinal("g", "gre")
-        e = hilbert.level_ordinal("e", "gre")
-        out = op_g @ hilbert.basis_vector(e, 2, n_max)
-        np.testing.assert_allclose(out, hilbert.basis_vector(g, 2, n_max), atol=0)
+        out = op_g @ hilbert.basis_vector(hilbert.E, 2, n_max)
+        np.testing.assert_allclose(
+            out, hilbert.basis_vector(hilbert.G, 2, n_max), atol=0
+        )

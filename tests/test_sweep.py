@@ -1,8 +1,11 @@
+import inspect
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from eitcool import ConfigurationError
-from eitcool import sweep
+from eitcool import liouvillian, physics, subspace, sweep
 
 from conftest import bench_params
 
@@ -115,6 +118,39 @@ class TestRunPoint:
     def test_bad_run_option_rejected_before_evaluation(self, options):
         with pytest.raises(ConfigurationError):
             sweep.run_point(bench_params(15.0, 15.0), ("numeric_full",), **options)
+
+    def test_traced_names_stay_reachable(self, monkeypatch):
+        # The benchmark times these functions by module and name, so a rename,
+        # or a call that bypasses the module attribute, zeroes a layer metric.
+        traced = {
+            physics: ("hamiltonian_ld", "hamiltonian_full"),
+            liouvillian: ("build_liouvillian", "nullspace_dimension",
+                          "steady_state", "phonon_occupation"),
+            subspace: ("build_projected", "solve_stationarity"),
+            sweep: ("run_point", "run_sweep", "write_output"),
+        }
+        for module, names in traced.items():
+            for name in names:
+                fn = getattr(module, name)
+                assert inspect.isfunction(fn), name
+                assert fn.__module__ == module.__name__, name
+        calls = Counter()
+        for module, name in ((physics, "hamiltonian_ld"),
+                             (physics, "hamiltonian_full"),
+                             (subspace, "solve_stationarity")):
+            def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+        for hamiltonian in ("ld", "full"):
+            row = sweep.run_point(
+                bench_params(4.0, 20.0), ("numeric_full", "numeric_projected"),
+                n_max=3, hamiltonian=hamiltonian,
+            )
+            assert row.flags == ()
+        assert calls == {
+            "hamiltonian_ld": 1, "hamiltonian_full": 1, "solve_stationarity": 2
+        }
 
 
 class TestBuiltinPanels:
