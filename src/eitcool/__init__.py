@@ -7,7 +7,6 @@ closed-form expressions including the second-order recoil correction.
 """
 
 from .analytic import (
-    SigmaIntermediates,
     SubspaceDiagonals,
     nbar_equal,
     nbar_second,
@@ -16,7 +15,6 @@ from .analytic import (
     nbar_standing_wave,
     nbar_weak_g,
     nbar_zeroth,
-    sigma_intermediates,
     subspace_diagonals,
 )
 from .errors import (
@@ -63,7 +61,6 @@ __all__ = [
     "FormulaDivergenceError",
     "NumericalFailureError",
     "ProjectedSystem",
-    "SigmaIntermediates",
     "SteadyState",
     "SubspaceDiagonals",
     "Superoperator",
@@ -84,7 +81,6 @@ __all__ = [
     "nbar_weak_g",
     "nbar_zeroth",
     "phonon_occupation",
-    "sigma_intermediates",
     "solve_stationarity",
     "steady_state",
     "subspace_diagonals",

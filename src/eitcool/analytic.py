@@ -86,32 +86,6 @@ def subspace_diagonals(d: DerivedEit, nu: float = 1.0) -> SubspaceDiagonals:
     )
 
 
-@dataclass(frozen=True)
-class SigmaIntermediates:
-    """Steady-state coherences that feed the population balance, relative to
-    the bright ground state population."""
-
-    sigma_d0e1_x: float
-    sigma_e0d1_x: float
-    sigma_b0e0_y: float
-    sigma_b1e1_y: float
-
-
-def sigma_intermediates(
-    d: DerivedEit, nu: float, rho_b0b0: float
-) -> SigmaIntermediates:
-    _require_cooling(d)
-    if d.eta == 0:
-        raise FormulaDivergenceError(
-            "coherences diverge at zero effective Lamb-Dicke parameter"
-        )
-    sx = rho_b0b0 * 8.0 * nu**2 * d.gamma_d / (d.eta * d.omega_d * d.omega_b**2)
-    sy = rho_b0b0 * 8.0 * nu**2 * d.gamma_b / d.omega_b**3
-    return SigmaIntermediates(
-        sigma_d0e1_x=sx, sigma_e0d1_x=sx, sigma_b0e0_y=sy, sigma_b1e1_y=sy
-    )
-
-
 def nbar_second_terms(d: DerivedEit, gamma: float, delta: float) -> tuple[float, float]:
     """The two addends of the second-order occupation: the recoil-free term
     and the recoil correction (eta^2 Od^2 / Ob^2)(1/2 + gamma_b / gamma_d)."""

@@ -8,7 +8,8 @@ is rejected, and flags on the command line win over the file.  The library
 checks the estimator names, the cutoff and the Hamiltonian before
 evaluating anything.  Without `--out`, `point` prints text, `sweep` CSV, and
 both JSON for `--format json`; `--format svg` needs `--out`.  Exit codes, for
-every format: 0 success, 1 configuration error, 2 numerical failure.
+every format: 0 success, 1 configuration error, 2 numerical failure, and
+141 (128 + SIGPIPE) when the reader of stdout goes away early.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 
 import numpy as np
@@ -298,7 +300,15 @@ def main(argv: list[str] | None = None) -> int:
         # File tokens go right after the subcommand, so later flags win.
         argv[1:1] = _config_tokens(argv)
         args = make_parser().parse_args(argv)
-        return args.func(args)
+        try:
+            return args.func(args)
+        finally:
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # The reader left (`eitcool sweep ... | head`): stdout to devnull, so
+        # the last flush at exit cannot fail again; exit as SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -6,15 +6,18 @@ Hamiltonian H_eff = H - (i/2) sum_k gamma_k L_k^dag L_k as
 -i kron(1, H_eff) + i kron(H_eff^*, 1) + sum_k gamma_k kron(L_k^*, L_k), one
 Kronecker product per jump.  Steady states are found by replacing one
 redundant row of the generator with the vectorized trace functional and
-solving the resulting linear system; uniqueness is established separately
-by counting near-zero singular values of the unmodified generator.
+solving the resulting linear system.  That trace-bordered matrix is
+LU-factored once; uniqueness is decided from the factorization's estimate of
+its reciprocal 1-norm condition number, and the same factors give the solve.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import hilbert
 from .errors import (
@@ -23,7 +26,12 @@ from .errors import (
     NumericalFailureError,
 )
 
-DEGENERACY_TOL = 1e-10  # relative threshold separating exact nullspace degeneracy
+# Bound on the reciprocal 1-norm condition number (rcond) of the
+# trace-bordered generator, below which a steady state counts as degenerate.
+# Here rcond ~ 6e-4 * eta_eff**2, so the bound sits at eta_eff ~ 1.3e-5, where
+# eps / rcond ~ 2e-3 still bounds the solve's relative error; zero recoil and
+# parallel beams give rcond below 1e-20.
+DEGENERACY_TOL = 1e-13
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -54,6 +62,10 @@ class Superoperator:
     @property
     def dim(self) -> int:
         return self.hilbert_dim**2
+
+    @functools.cached_property
+    def _lu(self) -> tuple[np.ndarray, np.ndarray, float]:
+        return _factor(self.matrix, self.hilbert_dim)
 
 
 def build_liouvillian(
@@ -104,31 +116,38 @@ def _generator(
     return lmat
 
 
-def _null_count(matrix: np.ndarray) -> int:
-    """Number of singular values below DEGENERACY_TOL times the largest one."""
-    try:
-        svals = np.linalg.svd(matrix, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"degeneracy check failed: {exc}") from exc
-    return int(np.count_nonzero(svals < DEGENERACY_TOL * svals[0]))
-
-
-def _trace_row_solve(matrix: np.ndarray, d: int) -> np.ndarray:
-    """Vectorized trace-one solution of matrix @ vec = 0.
+def _factor(matrix: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """LU factors and rcond of the generator with row 0 replaced by the trace.
 
     Row 0 is the equation for d/dt rho[0, 0]; the diagonal rows are linearly
-    dependent through trace preservation, so it is safe to overwrite with the
-    trace functional.
+    dependent through trace preservation, so it is safe to overwrite.  LAPACK
+    factors the Fortran-ordered copy in place and zlange needs no |L| array,
+    so no second matrix is made.
     """
-    mat = matrix.copy()
-    rhs = np.zeros(d * d, dtype=complex)
+    mat = np.array(matrix, dtype=complex, order="F")
     mat[0, :] = 0.0
     mat[0, (d + 1) * np.arange(d)] = 1.0
+    anorm = lapack.zlange("1", mat)
+    # the norm covers every entry but those of the overwritten row
+    if not (np.isfinite(anorm) and np.isfinite(matrix[0]).all()):
+        raise NumericalFailureError("the generator has non-finite entries")
+    lu, piv, info = lapack.zgetrf(mat, overwrite_a=True)
+    # info > 0 flags an exactly zero pivot, where zgecon would divide by it
+    rcond = lapack.zgecon(lu, anorm, norm="1")[0] if info == 0 else 0.0
+    return lu, piv, float(rcond)
+
+
+def _stationary_vector(factors: tuple, model: str) -> np.ndarray:
+    """Vectorized trace-one solution of generator @ vec = 0, if it is unique."""
+    lu, piv, rcond = factors
+    if rcond < DEGENERACY_TOL:
+        raise DegenerateSteadyStateError(
+            f"{model} has no unique steady state: rcond {rcond:.2e} of the "
+            f"trace-bordered generator is below {DEGENERACY_TOL:.0e}"
+        )
+    rhs = np.zeros(len(lu), dtype=complex)
     rhs[0] = 1.0
-    try:
-        return np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"steady-state solve failed: {exc}") from exc
+    return lapack.zgetrs(lu, piv, rhs)[0]
 
 
 @dataclass(frozen=True)
@@ -141,11 +160,13 @@ class SteadyState:
     min_eigenvalue: float
     nullspace_dim: int
     residual: float
+    rcond: float
 
 
 def nullspace_dimension(lv: Superoperator) -> int:
-    """Number of singular values of the generator below DEGENERACY_TOL * ||L||_2."""
-    return _null_count(lv.matrix)
+    """1 if the steady state is unique, else 2 ("at least two"): the rcond of
+    the trace-bordered generator is below DEGENERACY_TOL."""
+    return 1 if lv._lu[2] >= DEGENERACY_TOL else 2
 
 
 def steady_state(lv: Superoperator) -> SteadyState:
@@ -153,15 +174,11 @@ def steady_state(lv: Superoperator) -> SteadyState:
 
     Raises DegenerateSteadyStateError when the nullspace dimension exceeds
     one (for example when the dark state decouples and every phonon sector
-    is separately stationary), and NumericalFailureError when the
-    trace-constrained solve is singular.
+    is separately stationary), and NumericalFailureError when the generator
+    is not finite.
     """
     ndim = nullspace_dimension(lv)
-    if ndim > 1:
-        raise DegenerateSteadyStateError(
-            f"stationary subspace has dimension {ndim}; no unique steady state"
-        )
-    vec = _trace_row_solve(lv.matrix, lv.hilbert_dim)
+    vec = _stationary_vector(lv._lu, "the generator")
     rho = devectorize(vec)
     trace_defect = abs(rho.trace() - 1.0)
     herm_defect = float(np.abs(rho - rho.conj().T).max())
@@ -175,6 +192,7 @@ def steady_state(lv: Superoperator) -> SteadyState:
         min_eigenvalue=min_eig,
         nullspace_dim=ndim,
         residual=residual,
+        rcond=lv._lu[2],
     )
 
 

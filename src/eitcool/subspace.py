@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liouvillian
-from .errors import DegenerateSteadyStateError
 from .physics import DerivedEit
 
 #: Basis order of the projected space: (level, phonon) pairs.
@@ -81,18 +80,16 @@ def build_projected(d: DerivedEit, nu: float, delta: float) -> ProjectedSystem:
 def solve_stationarity(sys: ProjectedSystem) -> np.ndarray:
     """Unique trace-one stationary state of the seven-level model.
 
-    Uses the dense solver's generator, degeneracy count and trace-row solve.
+    Uses the dense solver's generator, factorization and degeneracy rule.
     Returns the 7 x 7 density matrix.  Raises DegenerateSteadyStateError when
     more than one stationary state exists (e.g. at zero effective Lamb-Dicke
     parameter, where the dark ladder decouples).
     """
     mat = liouvillian._generator(sys.hs, sys.jumps)
-    n_null = liouvillian._null_count(mat)
-    if n_null > 1:
-        raise DegenerateSteadyStateError(
-            f"projected stationary subspace has dimension {n_null}"
-        )
-    return liouvillian._trace_row_solve(mat, 7).reshape((7, 7), order="F")
+    vec = liouvillian._stationary_vector(
+        liouvillian._factor(mat, 7), "the seven-level model"
+    )
+    return vec.reshape((7, 7), order="F")
 
 
 def nbar_projected(rho7: np.ndarray) -> float:

@@ -97,6 +97,7 @@ class SweepRow:
     flags: tuple[str, ...] = ()
     residual: float | None = None
     nullspace_dim: int | None = None
+    rcond: float | None = None
 
 
 def params_at(spec: SweepSpec, value: float) -> physics.CoolingParams:
@@ -142,7 +143,8 @@ def _numeric_full(pt: Point) -> tuple[float, dict]:
     )
     ss = liouvillian.steady_state(lv)
     nbar = liouvillian.phonon_occupation(ss)
-    return nbar, {"residual": ss.residual, "nullspace_dim": ss.nullspace_dim}
+    diagnostics = ("residual", "nullspace_dim", "rcond")
+    return nbar, {key: getattr(ss, key) for key in diagnostics}
 
 
 def _numeric_projected(pt: Point) -> tuple[float, dict]:

@@ -1,6 +1,3 @@
-import math
-
-import numpy as np
 import pytest
 
 from eitcool import (
@@ -13,12 +10,11 @@ from eitcool import (
     nbar_standing_wave,
     nbar_weak_g,
     nbar_zeroth,
-    sigma_intermediates,
     subspace_diagonals,
 )
 from eitcool.physics import DerivedEit
 
-from conftest import bench_params, solve_full
+from conftest import bench_params
 
 
 class TestBaselines:
@@ -80,34 +76,6 @@ class TestSubspaceDiagonals:
                             gamma_d=d.gamma_d, gamma_b=d.gamma_b, eta=0.0)
         with pytest.raises(FormulaDivergenceError):
             subspace_diagonals(frozen, 1.0)
-
-
-class TestSigmaIntermediates:
-    def test_equality_pairs_by_construction(self):
-        d = derive_eit(bench_params(4.0, 20.0))
-        sig = sigma_intermediates(d, 1.0, 1.0e-3)
-        assert sig.sigma_d0e1_x == sig.sigma_e0d1_x
-        assert sig.sigma_b0e0_y == sig.sigma_b1e1_y
-
-    def test_quotient_identity(self):
-        d = derive_eit(bench_params(4.0, 20.0))
-        sig = sigma_intermediates(d, 1.0, 2.0e-3)
-        ratio = sig.sigma_b0e0_y / sig.sigma_e0d1_x
-        expected = (d.gamma_b / d.gamma_d) * (d.eta * d.omega_d / d.omega_b)
-        assert ratio == pytest.approx(expected, rel=1e-12)
-
-    def test_against_full_steady_state_at_small_linewidth(self):
-        # rotated-basis dense solve at gamma x0.1; coherences read off rho
-        p = bench_params(15.0, 15.0, gamma_g=2.0 / 3.0, gamma_r=4.0 / 3.0)
-        d = derive_eit(p)
-        ss, _ = solve_full(p, 8, basis="dbe")
-        rho = ss.rho
-        rho_b0 = float(rho[1, 1].real)
-        sig = sigma_intermediates(d, 1.0, rho_b0)
-        sx_measured = float((rho[3, 2] + rho[2, 3]).real)   # pair (e,0)-(d,1)
-        sy_measured = float((1j * (rho[2, 1] - rho[1, 2])).real)  # pair (b,0)-(e,0)
-        assert sx_measured == pytest.approx(sig.sigma_e0d1_x, rel=0.10)
-        assert sy_measured == pytest.approx(sig.sigma_b0e0_y, rel=0.10)
 
 
 class TestSecondOrder:

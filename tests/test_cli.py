@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -145,6 +148,25 @@ class TestSweepCommand:
         assert code == 0
         payload = json.loads(out_path.read_text())
         assert len(payload["rows"]) == 2
+
+
+    def test_closed_pipe_exits_141_without_traceback(self):
+        # as in `eitcool sweep ... | head -c 60`: the output is far larger than
+        # a pipe holds, so the sweep is still writing when the reader leaves
+        grid = ",".join(str(2.0 + 0.001 * i) for i in range(3000))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "eitcool.cli", "sweep", "--vary", "omega_g",
+             "--grid", grid, "--estimators", "eq1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        head = proc.stdout.read(60)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert head.startswith(b"vary,value,")
+        assert (proc.returncode, err) == (141, b"")
 
 
 class TestConfigFile:

@@ -1,9 +1,14 @@
 import math
+import tracemalloc
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from eitcool import (
     ConfigurationError,
@@ -20,7 +25,7 @@ from eitcool import (
     time_evolve,
     vectorize,
 )
-from eitcool import hilbert, liouvillian
+from eitcool import hilbert, liouvillian, sweep
 from eitcool.physics import dark_bright_unitary
 
 from conftest import bench_params, solve_full
@@ -50,6 +55,24 @@ def panel_points(draw):
 
 def both_hamiltonians(p, n_max):
     return (hamiltonian_ld(p, n_max), hamiltonian_full(p, n_max))
+
+
+def assert_degenerate(p):
+    """Both Hamiltonians are degenerate at every cutoff, and the error names
+    the condition estimate and its bound."""
+    for n_max in (4, 8, 12):
+        for h in both_hamiltonians(p, n_max):
+            lv = build_liouvillian(h, jump_operators(p, n_max))
+            assert liouvillian.nullspace_dimension(lv) == 2
+            with pytest.raises(DegenerateSteadyStateError, match=r"rcond .* below 1e-13"):
+                steady_state(lv)
+
+
+def small_recoil(eta_eff):
+    """Panel-a base point at a given effective Lamb-Dicke parameter; the beams
+    at +-45 degrees give eta_eff = sqrt(2) eta."""
+    eta = eta_eff / math.sqrt(2.0)
+    return replace(sweep.builtin_figure3("a").base, eta_g=eta, eta_r=eta)
 
 
 def two_level_decay(gamma=1.0):
@@ -146,10 +169,7 @@ class TestSteadyState:
         assert ss.nullspace_dim == 1
 
     def test_zero_recoil_is_degenerate(self):
-        p = bench_params(15.0, 15.0, eta_g=0.0, eta_r=0.0)
-        lv = build_liouvillian(hamiltonian_ld(p, 4), jump_operators(p, 4))
-        with pytest.raises(DegenerateSteadyStateError):
-            steady_state(lv)
+        assert_degenerate(bench_params(15.0, 15.0, eta_g=0.0, eta_r=0.0))
 
     def test_non_finite_generator_is_a_numerical_failure(self):
         lv = liouvillian.Superoperator(np.full((4, 4), np.nan, dtype=complex), 2)
@@ -158,10 +178,63 @@ class TestSteadyState:
 
     def test_parallel_laser_geometry_is_degenerate(self):
         # equal angles cancel the effective recoil even with eta_g = eta_r != 0
-        p = bench_params(15.0, 15.0, phi_g=math.pi / 4, phi_r=math.pi / 4)
-        lv = build_liouvillian(hamiltonian_ld(p, 4), jump_operators(p, 4))
-        with pytest.raises(DegenerateSteadyStateError):
+        assert_degenerate(bench_params(15.0, 15.0, phi_g=math.pi / 4, phi_r=math.pi / 4))
+
+    @pytest.mark.parametrize("n_max", [6, 12])
+    def test_small_recoil_has_a_unique_steady_state(self, n_max):
+        # rcond ~ 6e-4 eta_eff**2 is small but far above the bound; at
+        # eta_eff = 1e-3 the occupation has already reached its eta -> 0 limit
+        ss, nbar = solve_full(small_recoil(1e-4), n_max)
+        _, nbar_ref = solve_full(small_recoil(1e-3), n_max)
+        assert ss.nullspace_dim == 1
+        assert liouvillian.DEGENERACY_TOL < ss.rcond < 1e-10
+        assert nbar == pytest.approx(nbar_ref, rel=1e-4)
+
+    @pytest.mark.parametrize("n_max", [6, 12])
+    def test_smaller_recoil_is_degenerate(self, n_max):
+        for hamiltonian in ("ld", "full"):
+            row = sweep.run_point(small_recoil(1e-5), ("numeric_full",),
+                                  n_max=n_max, hamiltonian=hamiltonian)
+            assert row.nbar == {} and row.rcond is None
+            assert row.flags == ("numeric_full:degenerate-steady-state",)
+
+    @PROPERTY_SETTINGS
+    @given(panel_points())
+    def test_condition_estimate_agrees_with_singular_values(self, p):
+        # oracle: exactly one singular value of the generator below 1e-10 ||L||_2
+        for h in both_hamiltonians(p, 3):
+            lv = build_liouvillian(h, jump_operators(p, 3))
+            svals = np.linalg.svd(lv.matrix, compute_uv=False)
+            assert np.count_nonzero(svals < 1e-10 * svals[0]) == 1
+            assert liouvillian.nullspace_dimension(lv) == 1
+            assert steady_state(lv).rcond >= 1e3 * liouvillian.DEGENERACY_TOL
+
+    def test_one_factorization_and_no_svd_per_point(self, monkeypatch):
+        calls = Counter()
+        for module, name, kind in ((lapack, "zgetrf", "lu"), (np.linalg, "solve", "lu"),
+                                   (np.linalg, "svd", "svd"), (scipy.linalg, "svd", "svd"),
+                                   (scipy.linalg, "svdvals", "svd")):
+            def counting(*args, _fn=getattr(module, name), _kind=kind, **kwargs):
+                calls[_kind] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+        row = sweep.run_point(bench_params(4.0, 20.0), ("numeric_full",), n_max=4)
+        assert "numeric_full" in row.nbar
+        assert calls == {"lu": 1}
+
+    def test_solve_peak_memory_is_one_generator_copy(self):
+        # LAPACK factors a Fortran-ordered copy in place; a C-ordered copy
+        # (which f2py copies again) or an |L| temporary for the norm would
+        # double the peak
+        p = bench_params(4.0, 20.0)
+        lv = build_liouvillian(hamiltonian_ld(p, 8), jump_operators(p, 8))
+        tracemalloc.start()
+        try:
             steady_state(lv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * lv.matrix.nbytes
 
     def test_benchmark_point_against_closed_form(self):
         # equal-Rabi benchmark point; closed form gives 1.885e-2

@@ -258,9 +258,11 @@ class TestSolveStationarity:
         assert degenerate == 6 and solved == 42
 
     def test_degenerate_at_zero_recoil(self):
-        _, _, sys7 = projected_at(15.0, 15.0, eta_g=0.0, eta_r=0.0)
-        with pytest.raises(DegenerateSteadyStateError):
-            solve_stationarity(sys7)
+        # also at parallel beams, where eta_g = eta_r != 0 cancel
+        for overrides in (dict(eta_g=0.0, eta_r=0.0), dict(phi_r=np.pi / 4)):
+            _, _, sys7 = projected_at(15.0, 15.0, **overrides)
+            with pytest.raises(DegenerateSteadyStateError, match="rcond"):
+                solve_stationarity(sys7)
 
     def test_matches_closed_forms_deep_in_validity(self):
         # strict relative agreement needs both a heavy carrier and a small

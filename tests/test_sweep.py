@@ -241,6 +241,7 @@ class TestCsvRoundTrip:
         assert len(payload["rows"]) == 3
         assert payload["rows"][0]["nbar"]["numeric_full"] == rows[0].nbar["numeric_full"]
         assert payload["rows"][0]["nullspace_dim"] == 1
+        assert payload["rows"][0]["rcond"] == rows[0].rcond > 1e-10
         assert payload["rows"][0]["residual"] < 1e-9
 
     def test_svg_output(self, tmp_path):
